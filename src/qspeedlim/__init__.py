@@ -11,7 +11,6 @@ otherwise.
 from .algebra import (
     DIM_CAP,
     HermitianOperator,
-    PhysicalConstants,
     StateVector,
     distance,
     expectation,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DIM_CAP",
-    "PhysicalConstants",
     "StateVector",
     "HermitianOperator",
     "inner_product",

@@ -24,17 +24,6 @@ def _check_same_dim(da: int, db: int) -> None:
         raise ValueError(f"dimension mismatch: {da} != {db}")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants entering the dynamics; hbar in action units."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state as a 1-D complex amplitude vector.
@@ -54,7 +43,7 @@ class StateVector:
         if amps.shape[0] > DIM_CAP:
             raise ValueError(f"dimension {amps.shape[0]} exceeds cap {DIM_CAP}")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN or inf amplitudes fail too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -98,6 +87,8 @@ class HermitianOperator:
             raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
         if mat.shape[0] > DIM_CAP:
             raise ValueError(f"dimension {mat.shape[0]} exceeds cap {DIM_CAP}")
+        if not np.isfinite(mat).all():
+            raise ValueError("operator entries must be finite")
         defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if defect > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {defect:g}")

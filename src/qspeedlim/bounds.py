@@ -15,17 +15,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .algebra import HermitianOperator, StateVector, expectation, variance_sqrt
-from .propagate import Trajectory
+from .propagate import Trajectory, cumulative_trapezoid
 from .schedules import Schedule, schedule_integral
 
 CONTEXTS = ("time-independent", "qac")
-
-# sqrt(2 - 2 Re o) turns eps-level rounding into ~1e-8 noise on the distance
-# even when the dynamics are exact, so margin checks keep this additive floor
-FLOAT_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,7 @@ class MomentPair:
     spread: float
 
     def __post_init__(self):
-        if self.spread < 0:
+        if not self.spread >= 0:  # NaN fails too
             raise ValueError(f"spread must be nonnegative, got {self.spread}")
 
 
@@ -78,13 +73,17 @@ class SurvivalBound(NamedTuple):
     vacuous: bool
 
 
-def survival_lower_bound_ti(t: float, spread: float, hbar: float) -> SurvivalBound:
+def _nonnegative_times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"time must be nonnegative, got {t.min()}")
+    return t
+
+
+def survival_lower_bound_ti(t, spread: float, hbar: float) -> SurvivalBound:
     """(1 - spread^2 t^2 / (2 hbar^2))^2, clamped to 0 and flagged vacuous
-    once the parenthesis goes negative."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    x = (spread * t) ** 2 / (2.0 * hbar**2)
-    return _clamped_square_bound(x)
+    once the parenthesis goes negative; t is a time or an array of times."""
+    return _clamped_square_bound(spread, _nonnegative_times(t), hbar)
 
 
 def survival_lower_bound_qac(t: float, spread_P: float, sched: Schedule, T: float,
@@ -95,16 +94,21 @@ def survival_lower_bound_qac(t: float, spread_P: float, sched: Schedule, T: floa
     if t > T * (1.0 + 1e-12):
         raise ValueError(f"time {t} exceeds the interpolation window {T}")
     G = T * schedule_integral(sched, upto=min(t / T, 1.0))
-    x = (spread_P * G) ** 2 / (2.0 * hbar**2)
-    return _clamped_square_bound(x)
+    return _clamped_square_bound(spread_P, G, hbar)
 
 
-def _clamped_square_bound(x: float) -> SurvivalBound:
+def _clamped_square_bound(spread, elapsed, hbar: float) -> SurvivalBound:
+    """(1 - x)^2 clamped to 0 with x = (spread * elapsed)^2 / (2 hbar^2),
+    elementwise over an array of elapsed (schedule-weighted) times."""
+    x = np.asarray((spread * elapsed) ** 2 / (2.0 * hbar**2))
     # the eps pad keeps an exact touch of zero (x = 1 up to rounding) from
     # being misreported as vacuous
-    if x > 1.0 + 1e-12:
-        return SurvivalBound(value=0.0, vacuous=True)
-    return SurvivalBound(value=max(1.0 - x, 0.0) ** 2, vacuous=False)
+    return _elementwise(SurvivalBound, np.clip(1.0 - x, 0.0, None) ** 2, x > 1.0 + 1e-12)
+
+
+def _elementwise(result_type, *fields):
+    """Python scalars for a scalar time argument, arrays for an array."""
+    return result_type(*(f if np.ndim(f) else f.item() for f in fields))
 
 
 class DecayDiagnostic(NamedTuple):
@@ -112,15 +116,14 @@ class DecayDiagnostic(NamedTuple):
     regime_ok: bool
 
 
-def exp_decay_diagnostic(t: float, spread: float, energy: float, hbar: float) -> DecayDiagnostic:
-    """exp(-spread^2 t^2 / hbar^2) with a short-time regime flag. Diagnostic
-    only: the underlying relation has no sharp constant, so this is never
-    asserted as a hard bound."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    value = math.exp(-((spread * t) ** 2) / hbar**2)
+def exp_decay_diagnostic(t, spread: float, energy: float, hbar: float) -> DecayDiagnostic:
+    """exp(-spread^2 t^2 / hbar^2) with a short-time regime flag, elementwise
+    over an array of times. Diagnostic only: the underlying relation has no
+    sharp constant, so this is never asserted as a hard bound."""
+    t = _nonnegative_times(t)
+    value = np.exp(-((spread * t) ** 2) / hbar**2)
     regime_ok = t * math.hypot(spread, energy) <= 0.1 * hbar
-    return DecayDiagnostic(value=value, regime_ok=regime_ok)
+    return _elementwise(DecayDiagnostic, value, regime_ok)
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,6 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
     hbar = traj.hbar
     events = dict(events or {})
     slack_map = {label: traj.numerical_slack(label) for label in traj.distances}
-    floor = math.sqrt(2.0 * traj.norm_max_dev) + FLOAT_FLOOR
     margins = []
 
     # master inequality, one worst-sample entry per beta policy
@@ -246,16 +248,14 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
 
     # survival floor over all samples
     if context == "time-independent":
-        x = (moments.spread * traj.times) ** 2 / (2.0 * hbar**2)
+        bound = survival_lower_bound_ti(traj.times, moments.spread, hbar)
         char = char_times_ti(moments, hbar)
     else:
-        g_grid = np.array([schedule.g(t / total_time) for t in traj.times])
-        G = cumulative_trapezoid(g_grid, dx=traj.dt, initial=0.0)
-        x = (moments.spread * G) ** 2 / (2.0 * hbar**2)
+        G = cumulative_trapezoid(schedule.g(traj.times / total_time), traj.dt)
+        bound = _clamped_square_bound(moments.spread, G, hbar)
         char = char_times_qac(moments, schedule_integral(schedule), hbar)
-    bound = np.clip(1.0 - x, 0.0, None) ** 2
-    margins.append(_worst_sample_margin("survival", bound, traj.survival,
-                                        floor, traj.times))
+    margins.append(_worst_sample_margin("survival", bound.value, traj.survival,
+                                        traj.float_floor, traj.times))
 
     orth = events.get("orthogonal")
     anti = events.get("antipodal")
@@ -286,12 +286,10 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
         # or 2*hbar (antipodal, zero policy)
         if orth is not None:
             if orth.triggered:
-                best_label = min(
-                    traj.rhs_integrals,
-                    key=lambda lab: np.interp(orth.time, traj.times,
-                                              traj.rhs_integrals[lab]))
-                rhs = float(np.interp(orth.time, traj.times,
-                                      traj.rhs_integrals[best_label]))
+                at_event = {label: float(np.interp(orth.time, traj.times, v))
+                            for label, v in traj.rhs_integrals.items()}
+                best_label = min(at_event, key=at_event.get)
+                rhs = at_event[best_label]
                 slack = (slack_map[best_label]
                          + orth.bracket_width * traj.integrand_max[best_label])
                 margins.append(Margin("qac_orthogonal", lhs=hbar * math.sqrt(2.0),

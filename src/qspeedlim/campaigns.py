@@ -15,7 +15,8 @@ import hashlib
 import inspect
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,16 @@ from .hamiltonians import (
     shift_ground_to_zero,
     transverse_initial,
 )
-from .propagate import BetaPolicy, IntegratorConfig, evolve
+from .propagate import BetaPolicy, IntegratorConfig, evolve, is_number
 from .schedules import Schedule, schedule_integral
 
 KINDS = ("analytic-two-level", "gue-ensemble", "qac-ising", "entanglement-compare")
 
 GROUND_ENERGY_TOL = 1e-10
+
+# types of the scalar runner parameters a campaign file may set
+_PARAM_TYPES = {"dim": Integral, "subsystem_dim": Integral, "horizon_mult": Real,
+                "shift_ground": bool, "shift_problem_ground": bool}
 
 
 @dataclass(frozen=True)
@@ -60,15 +65,19 @@ class Campaign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Campaign":
-        if "kind" not in data:
+        if not isinstance(data, dict) or "kind" not in data:
             raise ValueError("campaign definition needs a 'kind' field")
-        known = {"kind", "parameters", "integrator"}
-        extra = set(data) - known
+        extra = set(data) - {"kind", "parameters", "integrator"}
         if extra:
             raise ValueError(f"unknown campaign fields: {sorted(extra)}")
-        integrator = IntegratorConfig(**data.get("integrator", {}))
-        return cls(kind=data["kind"], parameters=dict(data.get("parameters", {})),
-                   integrator=integrator)
+        parameters, integrator = data.get("parameters", {}), data.get("integrator", {})
+        if not (isinstance(parameters, dict) and isinstance(integrator, dict)):
+            raise ValueError("campaign 'parameters' and 'integrator' must be objects")
+        unknown = set(integrator) - {f.name for f in fields(IntegratorConfig)}
+        if unknown:
+            raise ValueError(f"unknown integrator fields: {sorted(unknown)}")
+        return cls(kind=data["kind"], parameters=dict(parameters),
+                   integrator=IntegratorConfig(**integrator))
 
 
 def load_campaign(path) -> Campaign:
@@ -449,6 +458,10 @@ def run_campaign(campaign: Campaign, workers: int = 1) -> CampaignResult:
     if unknown:
         raise ValueError(
             f"unknown parameters for {campaign.kind}: {sorted(unknown)}")
+    for name in sorted(params.keys() & _PARAM_TYPES.keys()):
+        want, value = _PARAM_TYPES[name], params[name]
+        if not (isinstance(value, bool) if want is bool else is_number(value, want)):
+            raise ValueError(f"campaign parameter {name!r} must be {want.__name__}, got {value!r}")
     return runner(**params, integrator=campaign.integrator, workers=workers)
 
 
@@ -456,13 +469,20 @@ def _resolve_seeds(params: dict, required: bool):
     if "seeds" in params and "seed_range" in params:
         raise ValueError("give 'seeds' or 'seed_range', not both")
     if "seed_range" in params:
-        start, stop = params.pop("seed_range")
-        return range(int(start), int(stop))
+        return range(*_integers("seed_range", params.pop("seed_range"), length=2))
     if "seeds" in params:
-        return [int(s) for s in params["seeds"]]
+        return _integers("seeds", params["seeds"])
     if required:
         raise ValueError("campaign needs a 'seeds' list or 'seed_range' pair")
     return None
+
+
+def _integers(name: str, values, length=None) -> list:
+    if not (isinstance(values, (list, tuple, range)) and length in (None, len(values))
+            and all(is_number(v, Integral) for v in values)):
+        raise ValueError(f"campaign parameter {name!r} must be a list of "
+                         f"{length or 'any number of'} integers, got {values!r}")
+    return list(values)
 
 
 def write_campaign_result(result: CampaignResult, out_dir) -> dict:

@@ -28,6 +28,7 @@ from .bounds import (
     write_report_json,
 )
 from .campaigns import (
+    _detect_events,
     _fallback_horizon,
     load_campaign,
     run_analytic_suite,
@@ -37,7 +38,6 @@ from .campaigns import (
     run_qac,
     write_campaign_result,
 )
-from .events import EventQuery, first_antipodal, first_orthogonal
 from .hamiltonians import load_ising_instance, random_hermitian
 from .propagate import (
     BetaPolicy,
@@ -120,12 +120,13 @@ def _finish_campaign(result, out_dir: Path, verbose: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _print_units_header(args.hbar)
     if args.campaign is not None:
         campaign = load_campaign(args.campaign)
+        _print_units_header(campaign.integrator.hbar)
         result = run_campaign(campaign, workers=args.workers)
         return _finish_campaign(result, _out_dir(args, campaign.kind), args.verbose)
     # the closed-form suite is the default verification target
+    _print_units_header(args.hbar)
     result = run_analytic_suite(integrator=_integrator(args), workers=args.workers)
     return _finish_campaign(result, _out_dir(args, "verify"), args.verbose)
 
@@ -185,11 +186,7 @@ def _cmd_decay(args) -> int:
     else:
         betas = [BetaPolicy.zero(), BetaPolicy.constant(m.energy, name="opt")]
     traj = evolve(h, psi0, horizon, cfg=cfg, betas=betas)
-    events = {
-        "orthogonal": first_orthogonal(traj, h, EventQuery(kind="orthogonal")),
-        "antipodal": first_antipodal(traj, h, EventQuery(kind="antipodal")),
-    }
-    report = check_inequalities(traj, m, "time-independent", events=events,
+    report = check_inequalities(traj, m, "time-independent", events=_detect_events(traj, h),
                                 provenance=provenance)
 
     out = _out_dir(args, "decay")
@@ -202,11 +199,12 @@ def _cmd_decay(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["t", "survival", "survival_bound", "bound_vacuous",
                          "exp_decay_diagnostic", "regime_ok"])
-        for t, p in zip(traj.times, traj.survival):
-            bound = survival_lower_bound_ti(float(t), m.spread, cfg.hbar)
-            diag = exp_decay_diagnostic(float(t), m.spread, m.energy, cfg.hbar)
-            writer.writerow([repr(float(t)), repr(float(p)), repr(bound.value),
-                             bound.vacuous, repr(diag.value), diag.regime_ok])
+        bound = survival_lower_bound_ti(traj.times, m.spread, cfg.hbar)
+        diag = exp_decay_diagnostic(traj.times, m.spread, m.energy, cfg.hbar)
+        columns = (traj.times, traj.survival, bound.value, bound.vacuous,
+                   diag.value, diag.regime_ok)
+        # csv writes a float as its repr, so this round-trips every value
+        writer.writerows(zip(*(c.tolist() for c in columns)))
     report_path = out / "report.json"
     write_report_json(report, report_path)
 

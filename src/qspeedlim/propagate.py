@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,15 @@ from .hamiltonians import InterpolatedHamiltonian
 DEFAULT_STEPS = 2000
 
 METHODS = ("midpoint-exponential", "rk4")
+
+# sqrt(2 - 2 Re o) turns eps-level rounding into ~1e-8 noise on the distance
+# even when the dynamics are exact, so every margin check keeps this floor
+FLOAT_FLOOR = 1e-7
+
+
+def is_number(x, kind=numbers.Real) -> bool:
+    """isinstance(x, kind) for a numbers ABC, with bools excluded."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 class IntegrationError(RuntimeError):
@@ -52,14 +62,12 @@ class IntegratorConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.dt is not None and self.steps is not None:
             raise ValueError("give dt or steps, not both")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if not self.norm_tolerance > 0:
-            raise ValueError("norm_tolerance must be positive")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        for name in ("dt", "norm_tolerance", "hbar"):
+            value = getattr(self, name)
+            if not (value is None and name == "dt" or is_number(value) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (self.steps is None or is_number(self.steps, numbers.Integral) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer of at least 1, got {self.steps!r}")
 
     def resolve_steps(self, horizon: float) -> int:
         if self.dt is not None:
@@ -110,8 +118,7 @@ class BetaPolicy:
             return np.full_like(times, self.beta0)
         if not isinstance(h, InterpolatedHamiltonian):
             raise ValueError("schedule-proportional beta policy needs an interpolated Hamiltonian")
-        g = np.array([h.schedule.g(t / h.total_time) for t in times])
-        return self.beta0 * g
+        return self.beta0 * h.schedule.g(times / h.total_time)
 
 
 @dataclass(frozen=True)
@@ -134,18 +141,22 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def numerical_slack(self, label: str) -> float:
-        """Discretization allowance for inequality checks under one policy.
+    @property
+    def float_floor(self) -> float:
+        """Round-off allowance on survival and on distances (in hbar units): a
+        norm deviation delta moves d by up to sqrt(2*delta) near d = 0."""
+        return math.sqrt(2.0 * self.norm_max_dev) + FLOAT_FLOOR
 
-        The trapezoid part is 10*dt*(max integrand). The additive floor
-        covers floating-point noise on the distance itself: a norm deviation
-        delta on the state moves d by up to sqrt(2*delta) near d = 0, and
-        sqrt(2 - 2 Re o) turns eps-level rounding into ~1e-8 even when the
-        dynamics are exact, so a 1e-7 floor is kept unconditionally.
-        """
-        trunc = 10.0 * self.dt * self.integrand_max[label]
-        floor = self.hbar * (math.sqrt(2.0 * self.norm_max_dev) + 1e-7)
-        return trunc + floor
+    def numerical_slack(self, label: str) -> float:
+        """Check allowance for one policy: 10*dt*(max integrand) + hbar*float_floor."""
+        return 10.0 * self.dt * self.integrand_max[label] + self.hbar * self.float_floor
+
+
+def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral of samples spaced dt apart, starting at 0."""
+    out = np.zeros_like(values)
+    out[1:] = np.cumsum((values[1:] + values[:-1]) * (dt / 2.0))
+    return out
 
 
 def _matrix_at(h, t: float) -> np.ndarray:
@@ -183,8 +194,8 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     interp = isinstance(h, InterpolatedHamiltonian)
     if psi0.dim != h.dim:
         raise ValueError(f"state dimension {psi0.dim} does not match operator dimension {h.dim}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if interp and horizon > h.total_time * (1.0 + 1e-12):
         raise ValueError(
             f"horizon {horizon} exceeds the interpolation window {h.total_time}"
@@ -222,13 +233,8 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
                 Hphi[None, :] - bvals[:, None] * phi0[None, :], axis=1
             )
 
-    def cumtrap(vals):
-        out = np.zeros_like(vals)
-        out[1:] = np.cumsum((vals[1:] + vals[:-1]) * (dt / 2.0))
-        return out
-
-    rhs_integrals = {label: cumtrap(v) for label, v in integrands.items()}
-    beta_accum = {label: cumtrap(v) for label, v in beta_grids.items()}
+    rhs_integrals = {label: cumulative_trapezoid(v, dt) for label, v in integrands.items()}
+    beta_accum = {label: cumulative_trapezoid(v, dt) for label, v in beta_grids.items()}
     integrand_max = {label: float(np.max(v)) for label, v in integrands.items()}
 
     cache = None
@@ -251,7 +257,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     for k in range(nsteps + 1):
         norm = np.linalg.norm(psi)
         dev = abs(norm - 1.0)
-        if dev > cfg.norm_tolerance:
+        if not dev <= cfg.norm_tolerance:  # NaN fails this test too
             raise IntegrationError(
                 f"norm drifted to {norm:.12g} at t = {times[k]:.9g} "
                 f"(tolerance {cfg.norm_tolerance:g}); reduce dt or switch method",
@@ -324,11 +330,7 @@ def convergence_order(h, psi0, horizon, cfg: IntegratorConfig | None = None) -> 
     errors = [float(np.linalg.norm(final_state(m).amplitudes - ref)) for m in (1, 2, 4)]
     if max(errors) < 1e-12:
         return ConvergenceResult(order=math.inf, exact=True, errors=errors)
-    ratios = []
-    for a, b in zip(errors, errors[1:]):
-        if b == 0.0:
-            continue
-        ratios.append(math.log2(a / b))
+    ratios = [math.log2(a / b) for a, b in zip(errors, errors[1:]) if b != 0.0]
     order = float(np.mean(ratios)) if ratios else math.inf
     return ConvergenceResult(order=order, exact=False, errors=errors)
 
@@ -343,21 +345,12 @@ def write_trajectory_csv(traj: Trajectory, path, seed=None) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["t", "re_overlap", "im_overlap", "survival"]
+        columns = [traj.times, traj.overlaps.real, traj.overlaps.imag, traj.survival]
         for label in labels:
             header += [f"distance_{label}", f"rhs_integral_{label}"]
+            columns += [traj.distances[label], traj.rhs_integrals[label]]
         writer.writerow(header)
-        for k in range(len(traj.times)):
-            row = [
-                repr(float(traj.times[k])),
-                repr(float(traj.overlaps[k].real)),
-                repr(float(traj.overlaps[k].imag)),
-                repr(float(traj.survival[k])),
-            ]
-            for label in labels:
-                row += [
-                    repr(float(traj.distances[label][k])),
-                    repr(float(traj.rhs_integrals[label][k])),
-                ]
-            writer.writerow(row)
+        # csv writes a float as its repr, so this round-trips every value
+        writer.writerows(zip(*(c.tolist() for c in columns)))
     meta = {"seed": seed, "method": traj.method, "dt": traj.dt, "hbar": traj.hbar}
     path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")

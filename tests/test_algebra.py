@@ -54,6 +54,11 @@ class TestStateVector:
         with pytest.raises(ValueError, match="at least 2"):
             StateVector(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(np.array([bad, 0.0]))
+
     def test_normalized_factory(self):
         s = StateVector.normalized([3.0, 4.0])
         assert np.allclose(s.amplitudes, [0.6, 0.8])
@@ -72,6 +77,13 @@ class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HermitianOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            HermitianOperator(np.array([[0.0, bad], [bad, 1.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

@@ -49,6 +49,10 @@ class TestMomentPair:
         with pytest.raises(ValueError):
             MomentPair(energy=1.0, spread=-0.1)
 
+    def test_nan_spread_rejected(self):
+        with pytest.raises(ValueError):
+            MomentPair(energy=1.0, spread=math.nan)
+
     def test_state_moments_two_level(self):
         H = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
         m = state_moments(H, PLUS)
@@ -133,6 +137,14 @@ class TestSurvivalBounds:
     def test_vacuous_beyond_window(self):
         b = survival_lower_bound_ti(10.0, spread=0.5, hbar=1.0)
         assert b.value == 0.0 and b.vacuous
+        # one array call matches the scalar calls elementwise
+        times = np.array([0.0, 1.0, math.sqrt(2.0) / 0.5, 10.0])
+        arr = survival_lower_bound_ti(times, spread=0.5, hbar=1.0)
+        for k, t in enumerate(times):
+            one = survival_lower_bound_ti(float(t), spread=0.5, hbar=1.0)
+            assert arr.value[k] == pytest.approx(one.value, rel=1e-15, abs=1e-300)
+            assert arr.vacuous[k] == one.vacuous
+        assert list(arr.vacuous) == [False, False, False, True]
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -180,6 +192,8 @@ class TestExpDecayDiagnostic:
         edge = 0.1 / math.sqrt(spread**2 + energy**2)
         assert exp_decay_diagnostic(edge * 0.999, spread, energy, 1.0).regime_ok
         assert not exp_decay_diagnostic(edge * 1.001, spread, energy, 1.0).regime_ok
+        arr = exp_decay_diagnostic(np.array([edge * 0.999, edge * 1.001]), spread, energy, 1.0)
+        assert list(arr.regime_ok) == [True, False]
 
     def test_bound_below_diagnostic_in_regime(self):
         value, ok = exp_decay_diagnostic(0.05, spread=1.0, energy=0.0, hbar=1.0)

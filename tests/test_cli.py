@@ -93,6 +93,26 @@ class TestVerify:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_runs"] == 2
 
+    def test_campaign_hbar_in_header(self, tmp_path, capsys):
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps({
+            "kind": "analytic-two-level", "integrator": {"hbar": 2.0, "steps": 400}}))
+        rc = main(["verify", "--campaign", str(campaign_path), "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert "hbar = 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("campaign, field", [
+        ({"kind": "gue-ensemble", "parameters": {"dim": 2, "seeds": [0]},
+          "integrator": {"stepz": 10}}, "stepz"),
+        ({"kind": "gue-ensemble", "parameters": {"dim": "2", "seeds": [0]}}, "dim"),
+    ], ids=["unknown-integrator-key", "mistyped-parameter"])
+    def test_campaign_type_errors_exit_2(self, tmp_path, capsys, campaign, field):
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps(campaign))
+        rc = main(["verify", "--campaign", str(campaign_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_verbose_prints_member_lines(self, tmp_path, capsys):
         rc = main(["verify", "-v", "--out", str(tmp_path), *FAST])
         assert rc == 0
@@ -308,3 +328,10 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "hbar" in proc.stdout
         assert (tmp_path / "summary.json").exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, qspeedlim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -225,6 +225,28 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, steps=100)
 
+    def test_non_finite_or_mistyped_settings_rejected(self):
+        with pytest.raises(ValueError, match="dt"):
+            IntegratorConfig(dt=math.inf)
+        with pytest.raises(ValueError, match="hbar"):
+            IntegratorConfig(hbar=math.nan)
+        with pytest.raises(ValueError, match="norm_tolerance"):
+            IntegratorConfig(norm_tolerance=math.inf)
+        with pytest.raises(ValueError, match="steps"):
+            IntegratorConfig(steps="10")
+        with pytest.raises(ValueError, match="horizon"):
+            evolve(two_level_gap(), PLUS, horizon=math.inf)
+
+    def test_nan_norm_raises_integration_error(self):
+        # an envelope that is NaN inside the window makes the state NaN; the
+        # norm check must stop the run instead of passing NaN on silently
+        sched = Schedule.linear(h=lambda tau: math.nan if 0.0 < tau < 1.0 else 0.0)
+        ih = InterpolatedHamiltonian(initial=transverse_initial(1), problem=two_level_gap(),
+                                     schedule=sched, total_time=1.0, extra=two_level_gap())
+        with pytest.raises(IntegrationError):
+            evolve(ih, StateVector.uniform(2), horizon=1.0,
+                   cfg=IntegratorConfig(method="rk4", steps=10))
+
     def test_default_steps(self):
         traj = evolve(two_level_gap(), PLUS, horizon=4.0)
         assert len(traj.times) == 2001

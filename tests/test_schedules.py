@@ -30,8 +30,11 @@ class TestBoundaries:
 
     @pytest.mark.parametrize("s", sample_schedules(), ids=lambda s: s.kind)
     def test_g_nonnegative_on_dense_grid(self, s):
-        gvals = np.array([s.g(t) for t in TAU_GRID])
+        gvals = s.g(TAU_GRID)
         assert np.all(gvals >= 0.0)
+        # one array call agrees with per-point calls to within 1 ulp
+        pointwise = np.array([s.g(float(t)) for t in TAU_GRID])
+        assert np.all(np.abs(gvals - pointwise) <= np.spacing(pointwise))
 
     def test_linear_midpoint(self):
         s = Schedule.linear()
@@ -62,6 +65,15 @@ class TestValidation:
             Schedule.tabulated([[0.0, 0.9, 0.0], [1.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="boundary"):
             Schedule.tabulated([[0.0, 1.0, 0.1], [1.0, 0.0, 1.0]])
+
+    def test_tabulated_non_finite_knot_rejected(self):
+        knots = [[0.0, 1.0, 0.0], [0.5, float("nan"), float("nan")], [1.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match="finite"):
+            Schedule.tabulated(knots)
+
+    def test_kind_without_exact_integral_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            Schedule("cosine", lambda tau: 1.0 - tau, lambda tau: tau)
 
     def test_tabulated_negative_g_rejected(self):
         knots = [[0.0, 1.0, 0.0], [0.5, 0.5, -0.1], [1.0, 0.0, 1.0]]
@@ -102,10 +114,11 @@ class TestIntegral:
         assert schedule_integral(Schedule.linear(), upto=0.5) == pytest.approx(0.125, abs=1e-10)
 
     def test_poly_two_matches_quadrature_oracle(self):
-        oracle, _ = quad(lambda t: t**2, 0.0, 1.0)
-        got = schedule_integral(Schedule.polynomial(2))
-        assert got == pytest.approx(oracle, abs=1e-10)
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-10)
+        for power in (2.0, 0.5, 2.5):
+            oracle, _ = quad(lambda t: t**power, 0.0, 1.0)
+            got = schedule_integral(Schedule.polynomial(power))
+            assert got == pytest.approx(oracle, abs=1e-10)
+            assert got == pytest.approx(1.0 / (power + 1.0), abs=1e-15)
 
     def test_poly_partial_against_closed_form(self):
         # integral of tau^3 to u is u^4 / 4
