@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,11 @@ DIM_CAP = 4096
 
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
+
+
+def is_number(x, kind=numbers.Real) -> bool:
+    """isinstance(x, kind) for a numbers ABC, with bools excluded."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def _check_same_dim(da: int, db: int) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import HermitianOperator, StateVector, random_state
+from .algebra import HermitianOperator, StateVector, is_number, random_state
 from .bounds import (
     BoundReport,
     char_times_ti,
@@ -39,7 +39,7 @@ from .hamiltonians import (
     shift_ground_to_zero,
     transverse_initial,
 )
-from .propagate import BetaPolicy, IntegratorConfig, evolve, is_number
+from .propagate import BetaPolicy, IntegratorConfig, evolve
 from .schedules import Schedule, schedule_integral
 
 KINDS = ("analytic-two-level", "gue-ensemble", "qac-ising", "entanglement-compare")
@@ -449,11 +449,13 @@ def run_campaign(campaign: Campaign, workers: int = 1) -> CampaignResult:
     if campaign.kind == "qac-ising":
         if "instance" not in params:
             raise ValueError("qac-ising campaign needs an 'instance' parameter")
-        if isinstance(params["instance"], dict):
-            params["instance"] = IsingInstance.from_dict(params["instance"])
-        if isinstance(params.get("sched"), dict):
+        params["instance"] = IsingInstance.from_dict(params["instance"])
+        if params.get("sched") is not None:
             params["sched"] = Schedule.from_dict(params["sched"])
-    allowed = set(inspect.signature(runner).parameters) - {"integrator", "workers"}
+        if "T_values" in params:
+            params["T_values"] = _numbers("T_values", params["T_values"], Real)
+    # an initial term is an operator, which a campaign file cannot spell
+    allowed = set(inspect.signature(runner).parameters) - {"integrator", "workers", "initial_term"}
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(
@@ -469,19 +471,20 @@ def _resolve_seeds(params: dict, required: bool):
     if "seeds" in params and "seed_range" in params:
         raise ValueError("give 'seeds' or 'seed_range', not both")
     if "seed_range" in params:
-        return range(*_integers("seed_range", params.pop("seed_range"), length=2))
+        return range(*_numbers("seed_range", params.pop("seed_range"), length=2))
     if "seeds" in params:
-        return _integers("seeds", params["seeds"])
+        return _numbers("seeds", params["seeds"])
     if required:
         raise ValueError("campaign needs a 'seeds' list or 'seed_range' pair")
     return None
 
 
-def _integers(name: str, values, length=None) -> list:
+def _numbers(name: str, values, kind=Integral, length=None) -> list:
     if not (isinstance(values, (list, tuple, range)) and length in (None, len(values))
-            and all(is_number(v, Integral) for v in values)):
+            and all(is_number(v, kind) for v in values)):
         raise ValueError(f"campaign parameter {name!r} must be a list of "
-                         f"{length or 'any number of'} integers, got {values!r}")
+                         f"{length or 'any number of'} {kind.__name__.lower()} values, "
+                         f"got {values!r}")
     return list(values)
 
 

@@ -4,10 +4,11 @@ reach (distance 2 under the zero reference phase).
 
 Both events minimize a nonnegative functional of the overlap, so detection is
 a grid scan for local minima below a coarse threshold followed by
-golden-section refinement. Refinement re-integrates locally: the state at an
-off-grid time is one short unitary step away from the nearest recorded grid
-state, which keeps the evaluation error at the single-step level regardless
-of how far into the run the event sits.
+golden-section refinement at off-grid times. A closed-form trajectory (fixed H)
+sums its spectrum there, sum_j |c_j|^2 exp(+i w_j t/hbar), in O(dim) with no eigh;
+a step-loop trajectory takes one short unitary step from the nearest recorded grid
+state. The reported bracket stops shrinking once round-off can steer the search,
+so a flat minimum reports the bracket it is known to lie in.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 KINDS = ("orthogonal", "antipodal")
 
 NEAR_MISS_CEILING = 1e-3
+
+ROUNDOFF = 1e-14  # on a functional value: overlaps of unit vectors err by a few ulp of 1
 
 
 @dataclass(frozen=True)
@@ -53,16 +56,22 @@ class EventResult:
     note: str | None = None
 
 
-def _golden_min(f, a, b, max_iter, width_goal):
-    """Golden-section minimization on [a, b]; returns (x, f(x), final width,
-    per-iteration widths). Widths shrink by the golden ratio each step."""
+def _golden_min(f, a, b, max_iter, width_goal, noise=0.0):
+    """Golden-section minimization on [a, b]; returns (x, f(x), width,
+    per-iteration widths). Widths shrink by the golden ratio each step. Once
+    the two interior values differ by less than `noise`, round-off may pick
+    the side, so the width returned is that step's bracket, the last one
+    known to hold the minimum."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     widths = []
+    held = None
     for _ in range(max_iter):
         if b - a <= width_goal:
             break
+        if held is None and abs(fc - fd) < noise:
+            held = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -72,47 +81,45 @@ def _golden_min(f, a, b, max_iter, width_goal):
             d = a + _INVPHI * (b - a)
             fd = f(d)
         widths.append(b - a)
+    width = b - a if held is None else held
     if fc < fd:
-        return c, fc, b - a, widths
-    return d, fd, b - a, widths
+        return c, fc, width, widths
+    return d, fd, width, widths
 
 
-def _state_at(traj: Trajectory, h, t: float) -> np.ndarray:
-    """State at an off-grid time: one midpoint-exponential step from the
-    nearest earlier recorded state (unitary, so safe whatever produced the
-    trajectory)."""
+def _overlap_at(traj: Trajectory, h, t: float) -> complex:
+    """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
+    trajectory, or one midpoint-exponential step from the nearest earlier
+    recorded state (unitary, so safe whatever produced the trajectory)."""
+    if traj.spectrum is not None:
+        w, _, c = traj.spectrum
+        return np.vdot(np.exp(t * ((-1j / traj.hbar) * w)) * c, c)
     k = min(int(t / traj.dt), len(traj.times) - 1)
     tk = traj.times[k]
     psi = traj.states[k]
     if t > tk + 1e-15:
-        psi = _step_midpoint(h, psi, tk, t - tk, traj.hbar, None)
-    return psi
+        psi = _step_midpoint(h, psi, tk, t - tk, traj.hbar)
+    return np.vdot(psi, traj.initial_state.amplitudes)
 
 
 def _scan_and_refine(traj: Trajectory, h, q: EventQuery, functional):
-    if traj.states is None:
-        raise ValueError("event detection needs a trajectory with recorded states")
-    phi0 = traj.initial_state.amplitudes
-
+    if traj.states is None and traj.spectrum is None:
+        raise ValueError("event detection needs recorded states or a closed-form spectrum")
     samples = functional(traj.overlaps)
     n = len(samples) - 1
 
     def f_at(t):
-        return float(functional(np.vdot(_state_at(traj, h, t), phi0)))
+        return float(functional(_overlap_at(traj, h, t)))
 
     threshold = max(q.coarse_threshold, q.tolerance)
     width_goal = traj.horizon * 1e-9
     best = float(np.min(samples))
-    for k in range(1, n + 1):
-        if samples[k] > threshold:
-            continue
-        left_ok = samples[k] <= samples[k - 1]
-        right_ok = k == n or samples[k] <= samples[k + 1]
-        if not (left_ok and right_ok):
-            continue
-        a = traj.times[k - 1]
-        b = traj.times[min(k + 1, n)]
-        t_min, f_min, width, _ = _golden_min(f_at, a, b, q.refine_iterations, width_goal)
+    # grid local minima below the threshold (the last sample needs no right neighbour)
+    here = samples[1:]
+    right_ok = np.append(here[:-1] <= here[1:], True)
+    for k in np.flatnonzero((here <= threshold) & (here <= samples[:-1]) & right_ok) + 1:
+        a, b = traj.times[k - 1], traj.times[min(k + 1, n)]
+        t_min, f_min, width, _ = _golden_min(f_at, a, b, q.refine_iterations, width_goal, ROUNDOFF)
         best = min(best, f_min)
         if f_min <= q.tolerance:
             return EventResult(

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .algebra import DIM_CAP, HermitianOperator
+from .algebra import DIM_CAP, HermitianOperator, is_number
 from .schedules import Schedule
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -18,7 +19,7 @@ _I2 = np.eye(2, dtype=complex)
 def _check_qubit_count(n: int) -> int:
     if n < 1:
         raise ValueError(f"need at least one qubit, got n = {n}")
-    if 2**n > DIM_CAP:
+    if n >= DIM_CAP.bit_length():  # 2**n > DIM_CAP, without building 2**n
         raise ValueError(f"2**{n} exceeds the dimension cap {DIM_CAP}")
     return 2**n
 
@@ -82,13 +83,21 @@ class IsingInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IsingInstance":
-        if "n" not in data:
-            raise ValueError("Ising instance needs an 'n' field")
-        return cls(
-            n=int(data["n"]),
-            couplings=tuple(tuple(row) for row in data.get("couplings", [])),
-            fields=tuple(tuple(row) for row in data.get("fields", [])),
-        )
+        if not (isinstance(data, dict) and is_number(data.get("n"), Integral)):
+            raise ValueError(f"Ising instance must be an object with an integer 'n', got {data!r}")
+        return cls(n=data["n"], couplings=_rows("couplings", data.get("couplings", []), 2),
+                   fields=_rows("fields", data.get("fields", []), 1))
+
+
+def _rows(name: str, rows, indices: int) -> tuple:
+    """Instance rows [index, ..., value]: `indices` integers, then a number."""
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == indices + 1
+            and all(is_number(i, Integral) for i in row[:-1]) and is_number(row[-1])
+            for row in rows)):
+        raise ValueError(f"instance {name!r} must be a list of rows of {indices} integer "
+                         f"indices and a number, got {rows!r}")
+    return tuple(map(tuple, rows))
 
 
 def ising_problem(inst: IsingInstance) -> HermitianOperator:
@@ -130,6 +139,8 @@ def shift_ground_to_zero(op: HermitianOperator) -> HermitianOperator:
 def random_hermitian(dim: int, seed: int) -> HermitianOperator:
     """Gaussian unitary ensemble draw: (M + M^dag) / 2 with standard
     complex normal entries, deterministic in the seed."""
+    if not 2 <= dim <= DIM_CAP:
+        raise ValueError(f"dimension must be in [2, {DIM_CAP}], got {dim}")
     rng = np.random.default_rng(seed)
     M = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     return HermitianOperator((M + M.conj().T) / 2.0)

@@ -12,6 +12,11 @@ together with the accumulated right-hand-side integral
 
 The two integrals are trapezoid sums on the step grid. The reference state is
 never integrated separately; its effect is the scalar phase above.
+
+A fixed H = V diag(w) V^dagger under midpoint-exponential is solved in closed
+form from one eigh: with c = V^dagger phi0, <psi(t)|phi0> = sum_j |c_j|^2
+exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. An
+interpolated H(t), and every rk4 run, walk the step grid.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HermitianOperator, StateVector
+from .algebra import HermitianOperator, StateVector, is_number
 from .hamiltonians import InterpolatedHamiltonian
 
 DEFAULT_STEPS = 2000
@@ -33,11 +38,6 @@ METHODS = ("midpoint-exponential", "rk4")
 # sqrt(2 - 2 Re o) turns eps-level rounding into ~1e-8 noise on the distance
 # even when the dynamics are exact, so every margin check keeps this floor
 FLOAT_FLOOR = 1e-7
-
-
-def is_number(x, kind=numbers.Real) -> bool:
-    """isinstance(x, kind) for a numbers ABC, with bools excluded."""
-    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 class IntegrationError(RuntimeError):
@@ -55,7 +55,7 @@ class IntegratorConfig:
     steps: int | None = None
     norm_tolerance: float = 1e-9
     hbar: float = 1.0
-    record_states: bool = True
+    record_states: bool = True  # step loops only; a closed-form run keeps its spectrum
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -131,7 +131,8 @@ class Trajectory:
     integrand_max: dict
     initial_state: StateVector
     final_state: StateVector
-    states: np.ndarray | None
+    states: np.ndarray | None  # grid states of a step loop with record_states
+    spectrum: tuple | None  # (w, V, c) of a fixed H solved in closed form
     method: str
     dt: float
     hbar: float
@@ -165,22 +166,46 @@ def _matrix_at(h, t: float) -> np.ndarray:
     return h.entries
 
 
-def _step_midpoint(h, psi, t, dt, hbar, cache):
+def _step_midpoint(h, psi, t, dt, hbar):
     """One unitary step exp(-i H(t + dt/2) dt / hbar) |psi> via eigh."""
-    if cache is not None:
-        w, V, phases = cache
-    else:
-        w, V = np.linalg.eigh(_matrix_at(h, t + dt / 2.0))
-        phases = np.exp(-1j * w * dt / hbar)
+    w, V = np.linalg.eigh(_matrix_at(h, t + dt / 2.0))
+    phases = np.exp(-1j * w * dt / hbar)
     return V @ (phases * (V.conj().T @ psi))
 
 
-def _step_rk4(h, psi, t, dt, hbar, deriv):
+def _step_rk4(h, psi, t, dt, hbar):
+    deriv = lambda t, psi: (-1j / hbar) * (_matrix_at(h, t) @ psi)
     k1 = deriv(t, psi)
     k2 = deriv(t + dt / 2.0, psi + (dt / 2.0) * k1)
     k3 = deriv(t + dt / 2.0, psi + (dt / 2.0) * k2)
     k4 = deriv(t + dt, psi + dt * k3)
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _norm_error(norm, t, tolerance) -> IntegrationError:
+    return IntegrationError(f"norm drifted to {norm:.12g} at t = {t:.9g} (tolerance "
+                            f"{tolerance:g}); reduce dt or switch method", time=float(t))
+
+
+def _closed_form(H, phi0, times, cfg):
+    """Exact propagation under a fixed H = V diag(w) V^dagger: the eigenbasis
+    amplitudes z_k = exp(-i w t_k/hbar) * c, c = V^dagger phi0, of the whole
+    grid, built in place. Returns the spectrum (w, V, c), the overlaps
+    conj(z_k . conj(c)), the final state V z_N and the largest |z_k| - 1."""
+    w, V = np.linalg.eigh(H)
+    c = V.conj().T @ phi0
+    z = np.outer(times, (-1j / cfg.hbar) * w)
+    np.exp(z, out=z)
+    z *= c
+    # the real and imaginary views keep the row norms free of a z-sized temporary
+    norms = np.sqrt(np.einsum("ij,ij->i", z.real, z.real) + np.einsum("ij,ij->i", z.imag, z.imag))
+    devs = np.abs(norms - 1.0)
+    bad = np.flatnonzero(~(devs <= cfg.norm_tolerance))  # NaN fails this test too
+    if bad.size:
+        raise _norm_error(norms[bad[0]], times[bad[0]], cfg.norm_tolerance)
+    for a in (w, V, c):
+        a.setflags(write=False)
+    return (w, V, c), np.conj(z @ c.conj()), V @ z[-1], float(devs.max())
 
 
 def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = None,
@@ -237,42 +262,28 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     beta_accum = {label: cumulative_trapezoid(v, dt) for label, v in beta_grids.items()}
     integrand_max = {label: float(np.max(v)) for label, v in integrands.items()}
 
-    cache = None
-    deriv = None
-    if cfg.method == "midpoint-exponential":
-        if not interp:
-            w, V = np.linalg.eigh(h.entries)
-            cache = (w, V, np.exp(-1j * w * dt / hbar))
+    spectrum = states = None
+    if cfg.method == "midpoint-exponential" and not interp:
+        spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, times, cfg)
     else:
-        if interp:
-            deriv = lambda t, psi: (-1j / hbar) * (_matrix_at(h, t) @ psi)
-        else:
-            He = h.entries
-            deriv = lambda t, psi: (-1j / hbar) * (He @ psi)
-
-    overlaps = np.empty(nsteps + 1, dtype=complex)
-    states = np.empty((nsteps + 1, h.dim), dtype=complex) if cfg.record_states else None
-    psi = phi0.copy()
-    norm_max_dev = 0.0
-    for k in range(nsteps + 1):
-        norm = np.linalg.norm(psi)
-        dev = abs(norm - 1.0)
-        if not dev <= cfg.norm_tolerance:  # NaN fails this test too
-            raise IntegrationError(
-                f"norm drifted to {norm:.12g} at t = {times[k]:.9g} "
-                f"(tolerance {cfg.norm_tolerance:g}); reduce dt or switch method",
-                time=float(times[k]),
-            )
-        norm_max_dev = max(norm_max_dev, dev)
-        overlaps[k] = np.vdot(psi, phi0)
-        if states is not None:
-            states[k] = psi
-        if k == nsteps:
-            break
-        if cfg.method == "midpoint-exponential":
-            psi = _step_midpoint(h, psi, times[k], dt, hbar, cache)
-        else:
-            psi = _step_rk4(h, psi, times[k], dt, hbar, deriv)
+        step = _step_midpoint if cfg.method == "midpoint-exponential" else _step_rk4
+        overlaps = np.empty(nsteps + 1, dtype=complex)
+        if cfg.record_states:
+            states = np.empty((nsteps + 1, h.dim), dtype=complex)
+        psi = phi0.copy()
+        norm_max_dev = 0.0
+        for k in range(nsteps + 1):
+            norm = np.linalg.norm(psi)
+            dev = abs(norm - 1.0)
+            if not dev <= cfg.norm_tolerance:  # NaN fails this test too
+                raise _norm_error(norm, times[k], cfg.norm_tolerance)
+            norm_max_dev = max(norm_max_dev, dev)
+            overlaps[k] = np.vdot(psi, phi0)
+            if states is not None:
+                states[k] = psi
+            if k == nsteps:
+                break
+            psi = step(h, psi, times[k], dt, hbar)
 
     survival = np.abs(overlaps) ** 2
     distances = {}
@@ -292,6 +303,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         initial_state=start,
         final_state=StateVector(psi / np.linalg.norm(psi)),
         states=states,
+        spectrum=spectrum,
         method=cfg.method,
         dt=dt,
         hbar=hbar,

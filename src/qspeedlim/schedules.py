@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 
+from .algebra import is_number
+
 BOUNDARY_TOL = 1e-12
 
 KINDS = ("linear", "poly", "tabulated")
@@ -55,8 +57,8 @@ class Schedule:
     @classmethod
     def polynomial(cls, power: float, h=None) -> "Schedule":
         """g = tau**power with f = 1 - g; power must be positive."""
-        if not power > 0:
-            raise ValueError(f"power must be positive, got {power}")
+        if not (is_number(power) and power > 0):
+            raise ValueError(f"power must be a positive number, got {power!r}")
         return cls(
             "poly",
             lambda tau: 1.0 - tau**power,
@@ -74,7 +76,10 @@ class Schedule:
         everywhere). f may dip below zero but that is unusual enough to
         warrant a warning.
         """
-        table = np.asarray(knots, dtype=float)
+        try:
+            table = np.asarray(knots, dtype=float)
+        except (TypeError, ValueError):
+            table = np.empty(0)
         if table.ndim != 2 or table.shape[1] != 3 or len(table) < 2 or not np.isfinite(table).all():
             raise ValueError("knots must be a finite (m, 3) table of (tau, f, g) rows, m >= 2")
         taus = table[:, 0]
@@ -116,6 +121,8 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
+        if not isinstance(data, dict):
+            raise ValueError(f"schedule must be an object with a 'kind', got {data!r}")
         kind = data.get("kind")
         if kind == "linear":
             return cls.linear()

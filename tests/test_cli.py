@@ -2,8 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspeedlim.bounds import BoundReport, CharacteristicTimes, Margin, MomentPair
 from qspeedlim.campaigns import CampaignResult
@@ -16,6 +20,26 @@ from qspeedlim.cli import (
 )
 
 FAST = ["--steps", "400"]
+
+FUZZ_BASES = [
+    {"kind": "analytic-two-level", "parameters": {}, "integrator": {"steps": 40}},
+    {"kind": "gue-ensemble", "parameters": {"dim": 2, "seeds": [0, 1]},
+     "integrator": {"steps": 40}},
+    {"kind": "qac-ising", "integrator": {"steps": 40},
+     "parameters": {"instance": {"n": 1, "fields": [[0, -0.5]]}, "T_values": [1.0],
+                    "sched": {"kind": "poly", "power": 2}}},
+    {"kind": "entanglement-compare", "parameters": {"subsystem_dim": 2, "seeds": [0]},
+     "integrator": {"steps": 40}},
+]
+
+_FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4), st.text(max_size=3),
+    st.sampled_from([-1.0, 0.0, 0.5, 2.5, 1e308, math.nan, math.inf, -math.inf]))
+FUZZ_VALUES = st.one_of(
+    _FUZZ_SCALARS, st.lists(_FUZZ_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "power", "n", "knots"]),
+                    st.one_of(_FUZZ_SCALARS, st.sampled_from(["linear", "poly"])),
+                    max_size=2))
 
 
 def run_main(argv, capsys=None):
@@ -112,6 +136,38 @@ class TestVerify:
         rc = main(["verify", "--campaign", str(campaign_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameters, field", [
+        ({"instance": "inst.json"}, "instance"),
+        ({"T_values": 5}, "T_values"),
+        ({"sched": {"kind": "poly", "power": "2"}}, "power"),
+        ({"sched": "linear"}, "schedule"),
+    ], ids=["instance-path", "scalar-T-values", "string-power", "string-sched"])
+    def test_nested_qac_parameter_errors_exit_2(self, tmp_path, capsys, parameters, field):
+        campaign = {"kind": "qac-ising", "integrator": {"steps": 50},
+                    "parameters": {"instance": {"n": 1, "fields": [[0, -0.5]]},
+                                   "T_values": [1.0], **parameters}}
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps(campaign))
+        rc = main(["verify", "--campaign", str(campaign_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_campaign_exits_0_or_2(self, data):
+        # well-formed small campaigns with one field replaced by an arbitrary
+        # JSON value; sizes stay small so a valid draw runs in milliseconds
+        campaign = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+        section = data.draw(st.sampled_from(["parameters", "integrator", None]))
+        if section is not None:
+            names = sorted(campaign[section]) + ["dim", "seeds", "sched", "power", "n"]
+            campaign[section][data.draw(st.sampled_from(names))] = data.draw(FUZZ_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "campaign.json"
+            path.write_text(json.dumps(campaign))
+            rc = main(["verify", "--campaign", str(path), "--out", str(Path(tmp) / "r")])
+        assert rc in (0, 2), campaign
 
     def test_verbose_prints_member_lines(self, tmp_path, capsys):
         rc = main(["verify", "-v", "--out", str(tmp_path), *FAST])

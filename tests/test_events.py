@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qspeedlim.algebra import HermitianOperator, StateVector
+from qspeedlim.algebra import HermitianOperator, StateVector, random_state
+from qspeedlim.bounds import char_times_ti, state_moments
 from qspeedlim.events import (
     EventQuery,
     EventResult,
@@ -11,6 +12,7 @@ from qspeedlim.events import (
     first_antipodal,
     first_orthogonal,
 )
+from qspeedlim.hamiltonians import random_hermitian
 from qspeedlim.propagate import BetaPolicy, IntegratorConfig, evolve
 
 PLUS = StateVector.normalized(np.array([1.0, 1.0]))
@@ -91,6 +93,8 @@ class TestAntipodal:
         res = first_antipodal(traj, H)
         assert res.triggered
         assert res.time == pytest.approx(2.0 * math.pi, abs=1e-6)
+        # the minimum is flat, so round-off bounds the width, not the step count
+        assert abs(res.time - 2.0 * math.pi) <= res.bracket_width
         assert res.functional_value <= 1e-6
         assert res.kind == "antipodal"
 
@@ -118,6 +122,22 @@ class TestAntipodal:
         assert res.triggered
         earlier = traj.distances["zero"][traj.times <= res.time]
         assert np.any(earlier >= math.sqrt(2.0) - 1e-9)
+
+    @pytest.mark.parametrize("seed", [83, 681])
+    def test_flat_antipode_width_covers_exact_minimum(self, seed):
+        # near-antipodal dim-2 draws: the functional is quadratic at its
+        # minimum, so round-off rather than the step count limits the time
+        H = random_hermitian(2, seed)
+        psi0 = random_state(2, [seed, 17])
+        traj = evolve(H, psi0, 4.0 * char_times_ti(state_moments(H, psi0), 1.0).t_orth)
+        res = first_antipodal(traj, H)
+        assert res.triggered
+        w, _, c = traj.spectrum
+        p = np.abs(c) ** 2
+        t = res.time
+        for _ in range(5):  # Newton on d/dt Re<psi(t)|phi0> = -sum p w sin(w t)
+            t -= np.sum(p * w * np.sin(w * t)) / np.sum(p * w**2 * np.cos(w * t))
+        assert abs(res.time - t) <= res.bracket_width
 
     def test_requires_beta_zero_distances(self):
         H = symmetric_hamiltonian()
@@ -147,6 +167,16 @@ class TestQueryAndRefinement:
         assert np.all(np.diff(widths) < 0)
         assert xm == pytest.approx(1.3, abs=1e-5)
 
+    def test_golden_section_width_stops_at_round_off(self):
+        # a flat quadratic whose values differ by less than the noise near
+        # the minimum: the search goes on, the width stays where it stopped
+        f = lambda x: 1e-3 * (x - 1.3) ** 2
+        xm, _, width, widths = _golden_min(f, 0.0, 2.0, max_iter=60, width_goal=1e-12,
+                                           noise=1e-14)
+        assert width > widths[-1]
+        assert abs(xm - 1.3) <= width
+        assert width in [2.0] + widths
+
     def test_golden_section_respects_iteration_cap(self):
         f = lambda x: abs(x - 0.5)
         _, _, width, widths = _golden_min(f, 0.0, 1.0, max_iter=5, width_goal=0.0)
@@ -154,10 +184,21 @@ class TestQueryAndRefinement:
         assert width == pytest.approx(widths[-1])
 
     def test_needs_recorded_states(self):
+        # a step-loop trajectory without states has nothing to refine from
         H = gap_hamiltonian()
-        traj = evolve(H, PLUS, horizon=4.0, cfg=IntegratorConfig(record_states=False))
+        traj = evolve(H, PLUS, horizon=4.0,
+                      cfg=IntegratorConfig(method="rk4", record_states=False))
         with pytest.raises(ValueError, match="states"):
             first_orthogonal(traj, H)
+
+    def test_closed_form_refines_without_states(self):
+        # a fixed H under midpoint-exponential keeps its spectrum, not states
+        H = gap_hamiltonian()
+        traj = evolve(H, PLUS, horizon=4.0, cfg=IntegratorConfig(record_states=False))
+        assert traj.states is None and traj.spectrum is not None
+        res = first_orthogonal(traj, H)
+        assert res.triggered
+        assert res.time == pytest.approx(math.pi, abs=1e-7)
 
     def test_no_spurious_event_at_time_zero(self):
         H = symmetric_hamiltonian()

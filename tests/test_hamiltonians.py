@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qspeedlim.algebra import StateVector, expectation, inner_product
+from qspeedlim.algebra import DIM_CAP, StateVector, expectation, inner_product
 from qspeedlim.hamiltonians import (
     InterpolatedHamiltonian,
     IsingInstance,
@@ -90,6 +90,22 @@ class TestIsingInstance:
         inst = load_ising_instance(path)
         assert inst.n == 2 and inst.couplings == ((0, 1, 1.0),)
 
+    @pytest.mark.parametrize("data, field", [
+        ("inst.json", "object"),
+        ({"n": "2"}, "'n'"),
+        ({"n": 2, "couplings": 5}, "couplings"),
+        ({"n": 2, "couplings": [[0, 1]]}, "couplings"),
+        ({"n": 2, "fields": [[0.7, 1.0]]}, "fields"),
+        ({"n": 2, "fields": [[0, None]]}, "fields"),
+    ], ids=["string", "string-n", "scalar-couplings", "short-row", "float-index", "null-value"])
+    def test_mistyped_dict_rejected(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            IsingInstance.from_dict(data)
+
+    def test_huge_qubit_count_rejected_without_building_it(self):
+        with pytest.raises(ValueError, match="cap"):
+            IsingInstance(n=10**12)
+
     def test_load_reports_position_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2\n "couplings": []}')
@@ -151,6 +167,11 @@ class TestShiftGroundToZero:
 
 
 class TestRandomHermitian:
+    def test_dimension_range_checked_before_drawing(self):
+        for dim in (1, DIM_CAP + 1):
+            with pytest.raises(ValueError, match="dimension"):
+                random_hermitian(dim, 0)
+
     def test_deterministic_in_seed(self):
         a = random_hermitian(6, 42).entries
         b = random_hermitian(6, 42).entries

@@ -1,16 +1,28 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qspeedlim.algebra import HermitianOperator, StateVector, expectation, variance_sqrt
+from qspeedlim.algebra import (
+    HermitianOperator,
+    StateVector,
+    expectation,
+    random_state,
+    variance_sqrt,
+)
+from qspeedlim.bounds import char_times_ti, check_inequalities, state_moments
+from qspeedlim.events import first_antipodal, first_orthogonal
 from qspeedlim.hamiltonians import (
     InterpolatedHamiltonian,
     IsingInstance,
     ising_problem,
     random_hermitian,
+    shift_ground_to_zero,
     transverse_initial,
 )
 from qspeedlim.propagate import (
@@ -173,6 +185,103 @@ class TestNullDynamics:
         traj = evolve(H, PLUS, horizon=1.0)
         slack = traj.numerical_slack("zero")
         assert np.all(traj.hbar * traj.distances["zero"] <= traj.rhs_integrals["zero"] + slack)
+
+
+def dense_loop(H, phi0, times, hbar=1.0):
+    """The fixed-H midpoint-exponential step loop that the closed form
+    replaced: one cached eigh, then psi <- V (phases * V^dagger psi) per step.
+    Returns the overlaps <psi(t_k)|phi0> and the grid states."""
+    w, V = np.linalg.eigh(H.entries)
+    phases = np.exp(-1j * w * (times[1] - times[0]) / hbar)
+    states = np.empty((len(times), len(phi0)), dtype=complex)
+    psi = phi0.copy()
+    for k in range(len(times)):
+        states[k] = psi
+        psi = V @ (phases * (V.conj().T @ psi))
+    return states.conj() @ phi0, states
+
+
+def _analytic_cases():
+    plus = StateVector.normalized(np.array([1.0, 1.0]))
+    gap = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
+    return [
+        ("orthogonal-two-level", gap, plus, 4.0),
+        ("antipodal-two-level", HermitianOperator(np.diag([-0.5, 0.5]).astype(complex)),
+         plus, 8.0),
+        ("null-hamiltonian", HermitianOperator(np.zeros((2, 2), dtype=complex)), plus, 1.0),
+        ("eigenstate", gap, StateVector.basis(2, 0), 4.0),
+    ]
+
+
+def _gue_cases():
+    cases = []
+    for dim in (2, 8, 32):
+        for shift in (False, True):
+            for seed in (0, 1):
+                H = random_hermitian(dim, seed)
+                if shift:
+                    H = shift_ground_to_zero(H)
+                psi0 = random_state(dim, [seed, 17])
+                horizon = 4.0 * char_times_ti(state_moments(H, psi0), 1.0).t_orth
+                cases.append((f"gue-dim{dim}-shift{int(shift)}-seed{seed}", H, psi0, horizon))
+    return cases
+
+
+ORACLE_CASES = _analytic_cases() + _gue_cases()
+
+
+class TestClosedFormAgainstDenseLoop:
+    """The closed form against the step loop it replaced, which is the
+    oracle: overlaps to 1e-12, event flags equal, event times within the
+    two bracket widths; and against rk4 at a fine step."""
+
+    @pytest.mark.parametrize("name, H, psi0, horizon", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_dense_loop(self, name, H, psi0, horizon):
+        traj = evolve(H, psi0, horizon)
+        assert traj.states is None and traj.spectrum is not None
+        phi0 = traj.initial_state.amplitudes
+        overlaps, states = dense_loop(H, phi0, traj.times)
+        assert np.max(np.abs(traj.overlaps - overlaps)) <= 1e-12
+        np.testing.assert_allclose(traj.final_state.amplitudes, states[-1], atol=1e-12)
+
+        # the oracle refines from its recorded grid states, as the loop did
+        looped = dataclasses.replace(traj, overlaps=overlaps, states=states, spectrum=None)
+        for detect in (first_orthogonal, first_antipodal):
+            got, want = detect(traj, H), detect(looped, H)
+            assert got.triggered == want.triggered, detect.__name__
+            if got.triggered:
+                assert abs(got.time - want.time) <= got.bracket_width + want.bracket_width
+
+    @pytest.mark.parametrize("name, H, psi0, horizon", ORACLE_CASES[::3],
+                             ids=[c[0] for c in ORACLE_CASES[::3]])
+    def test_matches_fine_rk4(self, name, H, psi0, horizon):
+        # ||H|| dt <= 0.004 on every case, so rk4's global error at 8000
+        # steps is at round-off level
+        exact = evolve(H, psi0, horizon, cfg=IntegratorConfig(steps=8000))
+        fine = evolve(H, psi0, horizon,
+                      cfg=IntegratorConfig(method="rk4", steps=8000, record_states=False))
+        assert np.max(np.abs(exact.overlaps - fine.overlaps)) <= 1e-10
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(10, 600), beta=st.floats(-5.0, 5.0),
+           horizon_mult=st.floats(0.05, 8.0))
+    def test_general_and_survival_margins_hold(self, dim, seed, steps, beta, horizon_mult):
+        H = random_hermitian(dim, seed)
+        psi0 = random_state(dim, [seed, 17])
+        m = state_moments(H, psi0)
+        horizon = horizon_mult * char_times_ti(m, 1.0).t_orth
+        traj = evolve(H, psi0, horizon, cfg=IntegratorConfig(steps=steps),
+                      betas=[BetaPolicy.zero(), BetaPolicy.constant(beta, name="beta")])
+        report = check_inequalities(traj, m, "time-independent")
+        checked = [mg for mg in report.margins
+                   if mg.name.startswith("general:") or mg.name == "survival"]
+        assert len(checked) == 3
+        for margin in checked:
+            assert margin.satisfied, margin
 
 
 class TestNormPreservation:
@@ -357,8 +466,11 @@ class TestExport:
         traj = evolve(two_level_gap(), PLUS, horizon=2.0, cfg=IntegratorConfig(steps=100))
         np.testing.assert_allclose(traj.initial_state.amplitudes, PLUS.amplitudes, atol=1e-15)
         assert isinstance(traj.final_state, StateVector)
-        np.testing.assert_allclose(traj.states[0], PLUS.amplitudes, atol=1e-15)
-        np.testing.assert_allclose(traj.states[-1], traj.final_state.amplitudes, atol=0)
+        # the closed form keeps no grid states; a step loop still records them
+        looped = evolve(two_level_gap(), PLUS, horizon=2.0,
+                        cfg=IntegratorConfig(method="rk4", steps=100))
+        np.testing.assert_allclose(looped.states[0], PLUS.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(looped.states[-1], looped.final_state.amplitudes, atol=0)
 
     def test_states_recording_optional(self):
         traj = evolve(two_level_gap(), PLUS, horizon=2.0,

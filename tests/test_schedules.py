@@ -189,6 +189,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Schedule.from_dict({"kind": "tabulated"})
 
+    @pytest.mark.parametrize("data, field", [
+        ("linear", "object"),
+        ({"kind": "poly", "power": "2"}, "power"),
+        ({"kind": "poly", "power": True}, "power"),
+        ({"kind": "tabulated", "knots": {"tau": 0}}, "knots"),
+    ], ids=["string", "string-power", "bool-power", "object-knots"])
+    def test_mistyped_fields_rejected(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            Schedule.from_dict(data)
+
     def test_extra_envelope_not_serializable(self):
         s = Schedule.linear(h=lambda tau: tau * (1.0 - tau))
         with pytest.raises(ValueError):
