@@ -18,8 +18,7 @@ from qspeedlim import run_entanglement_compare, write_campaign_result
 
 OUT = Path(os.environ.get("QSPEEDLIM_OUT", "demo-output")) / "entanglement"
 
-result = run_entanglement_compare(subsystem_dim=2, seeds=range(24),
-                                  horizon_mult=4.0, workers=4)
+result = run_entanglement_compare(subsystem_dim=2, seeds=range(24), horizon_mult=4.0)
 write_campaign_result(result, OUT)
 
 info = result.summary["entanglement"]

@@ -18,7 +18,7 @@ from qspeedlim import run_gue_ensemble, write_campaign_result
 
 OUT = Path(os.environ.get("QSPEEDLIM_OUT", "demo-output")) / "gue-ensemble"
 
-result = run_gue_ensemble(dim=8, seeds=range(50), horizon_mult=4.0, workers=4)
+result = run_gue_ensemble(dim=8, seeds=range(50), horizon_mult=4.0)
 paths = write_campaign_result(result, OUT)
 summary = result.summary
 

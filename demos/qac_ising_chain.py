@@ -51,8 +51,7 @@ print(f"characteristic times: antipodal >= {char.t_any:.6f}, "
       f"orthogonality >= {char.t_orth:.6f}")
 print()
 
-result = run_qac(chain, sched=sched, T_values=(1.0, 4.0, 16.0, 64.0, 200.0),
-                 workers=2)
+result = run_qac(chain, sched=sched, T_values=(1.0, 4.0, 16.0, 64.0, 200.0))
 paths = write_campaign_result(result, OUT)
 
 print(f"{'T':>6}  {'final P':>10}  {'ground pop':>10}  "

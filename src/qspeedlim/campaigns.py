@@ -14,7 +14,6 @@ import csv
 import hashlib
 import inspect
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -110,14 +109,6 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _parallel_map(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _collect(kind: str, reports, config_hash: str, extras: dict | None = None) -> CampaignResult:
     reports = tuple(sorted(reports, key=_provenance_key))
     violations = []
@@ -175,8 +166,7 @@ def _detect_events(traj, h) -> dict:
     }
 
 
-def run_analytic_suite(integrator: IntegratorConfig | None = None,
-                       workers: int = 1) -> CampaignResult:
+def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignResult:
     """The four closed-form cases: an orthogonality-reaching gap system, an
     antipodal-reaching symmetric gap, frozen dynamics, and a stationary
     eigenstate. Every inequality must hold and the event times are known."""
@@ -207,7 +197,7 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None,
             provenance={"campaign": "analytic-two-level", "case": name,
                         "config_hash": config_hash})
 
-    reports = _parallel_map(member, cases, workers)
+    reports = [member(case) for case in cases]
     return _collect("analytic-two-level", reports, config_hash)
 
 
@@ -221,8 +211,7 @@ def _fallback_horizon(char, horizon_mult: float) -> float:
 
 def run_gue_ensemble(dim: int, seeds, horizon_mult: float = 4.0,
                      shift_ground: bool = False,
-                     integrator: IntegratorConfig | None = None,
-                     workers: int = 1) -> CampaignResult:
+                     integrator: IntegratorConfig | None = None) -> CampaignResult:
     """Random Hermitian matrices against Haar-random start states. The
     horizon is a multiple of the orthogonality characteristic time, so
     trigger rates stay informative across dimensions."""
@@ -252,15 +241,14 @@ def run_gue_ensemble(dim: int, seeds, horizon_mult: float = 4.0,
             provenance={"campaign": "gue-ensemble", "dim": dim, "seed": seed,
                         "shift_ground": shift_ground, "config_hash": config_hash})
 
-    reports = _parallel_map(member, seeds, workers)
+    reports = [member(seed) for seed in seeds]
     return _collect("gue-ensemble", reports, config_hash)
 
 
 def run_qac(instance: IsingInstance, sched: Schedule | None = None,
             T_values=(1.0, 4.0, 16.0), shift_problem_ground: bool = False,
             initial_term: HermitianOperator | None = None,
-            integrator: IntegratorConfig | None = None,
-            workers: int = 1) -> CampaignResult:
+            integrator: IntegratorConfig | None = None) -> CampaignResult:
     """Interpolated-Hamiltonian runs from the uniform superposition.
 
     The initial term defaults to the transverse-field sum whose ground state
@@ -315,7 +303,7 @@ def run_qac(instance: IsingInstance, sched: Schedule | None = None,
                 "problem_ground_population": pop}
         return rep, diag
 
-    pairs = _parallel_map(member, T_values, workers)
+    pairs = [member(T) for T in T_values]
     reports = [p[0] for p in pairs]
     diags = sorted((p[1] for p in pairs), key=lambda d: d["T"])
     return _collect("qac-ising", reports, config_hash,
@@ -325,8 +313,7 @@ def run_qac(instance: IsingInstance, sched: Schedule | None = None,
 
 def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
                              horizon_mult: float = 4.0,
-                             integrator: IntegratorConfig | None = None,
-                             workers: int = 1) -> CampaignResult:
+                             integrator: IntegratorConfig | None = None) -> CampaignResult:
     """Product versus entangled start states of two identical uncoupled
     subsystems, at matched mean energy where construction allows.
 
@@ -379,10 +366,9 @@ def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
                               "half_time": _half_time(traj)}))
         return out
 
-    nested = _parallel_map(member, seeds, workers)
     reports, records = [], []
-    for group in nested:
-        for rep, rec in group:
+    for seed in seeds:
+        for rep, rec in member(seed):
             reports.append(rep)
             records.append(rec)
     records.sort(key=lambda r: (r["seed"], r["variant"]))
@@ -438,7 +424,7 @@ _RUNNERS = {
 }
 
 
-def run_campaign(campaign: Campaign, workers: int = 1) -> CampaignResult:
+def run_campaign(campaign: Campaign) -> CampaignResult:
     """Dispatch a declarative Campaign to its runner."""
     runner = _RUNNERS[campaign.kind]
     params = dict(campaign.parameters)
@@ -455,7 +441,7 @@ def run_campaign(campaign: Campaign, workers: int = 1) -> CampaignResult:
         if "T_values" in params:
             params["T_values"] = _numbers("T_values", params["T_values"], Real)
     # an initial term is an operator, which a campaign file cannot spell
-    allowed = set(inspect.signature(runner).parameters) - {"integrator", "workers", "initial_term"}
+    allowed = set(inspect.signature(runner).parameters) - {"integrator", "initial_term"}
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(
@@ -464,7 +450,7 @@ def run_campaign(campaign: Campaign, workers: int = 1) -> CampaignResult:
         want, value = _PARAM_TYPES[name], params[name]
         if not (isinstance(value, bool) if want is bool else is_number(value, want)):
             raise ValueError(f"campaign parameter {name!r} must be {want.__name__}, got {value!r}")
-    return runner(**params, integrator=campaign.integrator, workers=workers)
+    return runner(**params, integrator=campaign.integrator)
 
 
 def _resolve_seeds(params: dict, required: bool):

@@ -123,11 +123,11 @@ def _cmd_verify(args) -> int:
     if args.campaign is not None:
         campaign = load_campaign(args.campaign)
         _print_units_header(campaign.integrator.hbar)
-        result = run_campaign(campaign, workers=args.workers)
+        result = run_campaign(campaign)
         return _finish_campaign(result, _out_dir(args, campaign.kind), args.verbose)
     # the closed-form suite is the default verification target
     _print_units_header(args.hbar)
-    result = run_analytic_suite(integrator=_integrator(args), workers=args.workers)
+    result = run_analytic_suite(integrator=_integrator(args))
     return _finish_campaign(result, _out_dir(args, "verify"), args.verbose)
 
 
@@ -136,7 +136,7 @@ def _cmd_ensemble(args) -> int:
     result = run_gue_ensemble(dim=args.dim, seeds=parse_seeds(args.seeds),
                               horizon_mult=args.horizon_mult,
                               shift_ground=args.shift_ground,
-                              integrator=_integrator(args), workers=args.workers)
+                              integrator=_integrator(args))
     return _finish_campaign(result, _out_dir(args, "ensemble"), args.verbose)
 
 
@@ -146,7 +146,7 @@ def _cmd_qac(args) -> int:
     sched = parse_schedule(args.schedule)
     result = run_qac(instance, sched=sched, T_values=parse_times(args.T),
                      shift_problem_ground=args.shift_ground,
-                     integrator=_integrator(args), workers=args.workers)
+                     integrator=_integrator(args))
     return _finish_campaign(result, _out_dir(args, "qac"), args.verbose)
 
 
@@ -155,8 +155,7 @@ def _cmd_entangle(args) -> int:
     result = run_entanglement_compare(subsystem_dim=args.subsystem_dim,
                                       seeds=parse_seeds(args.seeds),
                                       horizon_mult=args.horizon_mult,
-                                      integrator=_integrator(args),
-                                      workers=args.workers)
+                                      integrator=_integrator(args))
     return _finish_campaign(result, _out_dir(args, "entangle"), args.verbose)
 
 
@@ -257,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integrator step count (exclusive with --dt)")
     common.add_argument("--method", default="midpoint-exponential",
                         choices=["midpoint-exponential", "rk4"])
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel campaign members")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="print one line per campaign member")
 

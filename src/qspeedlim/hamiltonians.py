@@ -58,11 +58,11 @@ class IsingInstance:
     fields: tuple = ()
 
     def __post_init__(self):
+        if not is_number(self.n, Integral):
+            raise ValueError(f"Ising instance needs an integer 'n', got {self.n!r}")
         _check_qubit_count(self.n)
-        object.__setattr__(
-            self, "couplings", tuple((int(i), int(j), float(J)) for i, j, J in self.couplings)
-        )
-        object.__setattr__(self, "fields", tuple((int(i), float(h)) for i, h in self.fields))
+        object.__setattr__(self, "couplings", _rows("couplings", self.couplings, 2))
+        object.__setattr__(self, "fields", _rows("fields", self.fields, 1))
         seen = set()
         for i, j, _ in self.couplings:
             if not 0 <= i < j < self.n:
@@ -83,21 +83,21 @@ class IsingInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IsingInstance":
-        if not (isinstance(data, dict) and is_number(data.get("n"), Integral)):
+        if not isinstance(data, dict):
             raise ValueError(f"Ising instance must be an object with an integer 'n', got {data!r}")
-        return cls(n=data["n"], couplings=_rows("couplings", data.get("couplings", []), 2),
-                   fields=_rows("fields", data.get("fields", []), 1))
+        return cls(n=data.get("n"), couplings=data.get("couplings", []),
+                   fields=data.get("fields", []))
 
 
 def _rows(name: str, rows, indices: int) -> tuple:
-    """Instance rows [index, ..., value]: `indices` integers, then a number."""
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and len(row) == indices + 1
+    """Instance rows (index, ..., value): `indices` integers, then a number."""
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and len(row) == indices + 1
             and all(is_number(i, Integral) for i in row[:-1]) and is_number(row[-1])
             for row in rows)):
         raise ValueError(f"instance {name!r} must be a list of rows of {indices} integer "
                          f"indices and a number, got {rows!r}")
-    return tuple(map(tuple, rows))
+    return tuple((*map(int, row[:-1]), float(row[-1])) for row in rows)
 
 
 def ising_problem(inst: IsingInstance) -> HermitianOperator:

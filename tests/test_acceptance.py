@@ -60,13 +60,12 @@ def default_suites():
     ensemble members, and two annealing instances at three horizons."""
     t0 = time.monotonic()
     suites = {
-        "analytic": run_analytic_suite(workers=2),
-        "gue-dim2": run_gue_ensemble(dim=2, seeds=range(100), workers=4),
-        "gue-dim8": run_gue_ensemble(dim=8, seeds=range(50), workers=4),
+        "analytic": run_analytic_suite(),
+        "gue-dim2": run_gue_ensemble(dim=2, seeds=range(100)),
+        "gue-dim8": run_gue_ensemble(dim=8, seeds=range(50)),
         "qac-single": run_qac(PROJECTOR_INSTANCE, T_values=(1.0, 4.0, 16.0),
-                              shift_problem_ground=True, workers=2),
-        "qac-chain": run_qac(CHAIN_INSTANCE, T_values=(1.0, 4.0, 16.0),
-                             workers=2),
+                              shift_problem_ground=True),
+        "qac-chain": run_qac(CHAIN_INSTANCE, T_values=(1.0, 4.0, 16.0)),
     }
     return suites, time.monotonic() - t0
 

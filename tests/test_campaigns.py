@@ -79,13 +79,6 @@ class TestAnalyticSuite:
         keys = [json.dumps(r.provenance, sort_keys=True) for r in result.reports]
         assert keys == sorted(keys)
 
-    def test_workers_agree_with_serial(self, result):
-        parallel = run_analytic_suite(workers=2)
-        assert parallel.summary == result.summary
-        assert [r.to_dict() for r in parallel.reports] == [
-            r.to_dict() for r in result.reports
-        ]
-
     def test_quantiles_cover_all_margin_names(self, result):
         names = set()
         for rep in result.reports:

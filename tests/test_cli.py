@@ -207,9 +207,11 @@ class TestEnsemble:
         assert summary["n_runs"] == 2
 
     def test_workers_flag(self, tmp_path):
-        rc = main(["ensemble", "--dim", "2", "--seeds", "0..4", "--workers", "2",
-                   "--out", str(tmp_path), "--steps", "300"])
-        assert rc == 0
+        # --workers went with the thread pool; an old command line is a usage error
+        with pytest.raises(SystemExit) as err:
+            main(["ensemble", "--dim", "2", "--seeds", "0..4", "--workers", "2",
+                  "--out", str(tmp_path), "--steps", "300"])
+        assert err.value.code == 2
 
 
 class TestQac:

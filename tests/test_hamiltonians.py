@@ -102,6 +102,17 @@ class TestIsingInstance:
         with pytest.raises(ValueError, match=field):
             IsingInstance.from_dict(data)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"fields": ((0.7, 1.0),)}, "fields"),
+        ({"couplings": ((0.2, 1.9, -1.0),)}, "couplings"),
+        ({"fields": ((True, 1.0),)}, "fields"),
+        ({"n": 2.0}, "'n'"),
+    ], ids=["float-field-index", "float-coupling-indices", "bool-index", "float-n"])
+    def test_non_integral_indices_rejected_at_construction(self, kwargs, field):
+        # int() would silently turn 0.7 into qubit 0 and (0.2, 1.9) into (0, 1)
+        with pytest.raises(ValueError, match=field):
+            IsingInstance(**{"n": 2, **kwargs})
+
     def test_huge_qubit_count_rejected_without_building_it(self):
         with pytest.raises(ValueError, match="cap"):
             IsingInstance(n=10**12)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qspeedlim import events
 from qspeedlim.algebra import (
     HermitianOperator,
     StateVector,
@@ -284,6 +285,107 @@ class TestClosedFormProperties:
             assert margin.satisfied, margin
 
 
+def eigh_step(h, psi, t, dt, hbar):
+    """The midpoint-exponential step that the Taylor action replaced: one
+    eigh of H(t + dt/2) per step."""
+    w, V = np.linalg.eigh(h.matrix(t + dt / 2.0))
+    return V @ (np.exp(-1j * w * dt / hbar) * (V.conj().T @ psi))
+
+
+def eigh_loop(h, phi0, times, hbar):
+    """The interpolated step loop with eigh_step; returns the overlaps
+    <psi(t_k)|phi0> and the grid states."""
+    dt = times[1] - times[0]
+    states = np.empty((len(times), len(phi0)), dtype=complex)
+    psi = phi0.copy()
+    for k in range(len(times)):
+        states[k] = psi
+        if k + 1 < len(times):
+            psi = eigh_step(h, psi, times[k], dt, hbar)
+    return states.conj() @ phi0, states
+
+
+def _chain(n):
+    return IsingInstance(n=n, couplings=tuple((i, i + 1, -1.0) for i in range(n - 1)),
+                         fields=((0, 0.25), (n - 1, -0.5)))
+
+
+def _annealer(instance, T, schedule=None, initial=None, extra=None, shift=False):
+    problem = ising_problem(instance)
+    return InterpolatedHamiltonian(
+        initial=initial if initial is not None else transverse_initial(instance.n),
+        problem=shift_ground_to_zero(problem) if shift else problem,
+        schedule=schedule or Schedule.linear(), total_time=T, extra=extra)
+
+
+def _complex_initial(dim):
+    # a complex Hermitian operator projected off the uniform state, which it
+    # then annihilates
+    u = StateVector.uniform(dim).amplitudes
+    P = np.eye(dim) - np.outer(u, u.conj())
+    return HermitianOperator(P @ random_hermitian(dim, 7).entries @ P)
+
+
+def _taylor_cases():
+    proj, chain3 = IsingInstance(n=1, fields=((0, -0.5),)), _chain(3)
+    tabulated = Schedule.tabulated([[0.0, 1.0, 0.0], [0.3, 0.8, 0.1], [1.0, 0.0, 1.0]])
+    bump = Schedule.linear(h=lambda tau: math.sin(math.pi * tau))
+    cases = [(f"projector-T{T:g}", _annealer(proj, T, shift=True), 2000, 1.0)
+             for T in (1.0, 4.0, 16.0)]
+    cases += [(f"chain3-T{T:g}", _annealer(chain3, T), 2000, 1.0) for T in (1.0, 4.0, 16.0)]
+    return cases + [
+        ("chain6-T16", _annealer(_chain(6), 16.0), 2000, 1.0),
+        ("chain3-poly2.5", _annealer(chain3, 4.0, Schedule.polynomial(2.5)), 2000, 1.0),
+        ("chain3-tabulated", _annealer(chain3, 4.0, tabulated), 2000, 1.0),
+        ("chain3-extra-term", _annealer(chain3, 4.0, bump, extra=random_hermitian(8, 5)),
+         2000, 1.0),
+        ("chain3-complex-initial", _annealer(chain3, 4.0, initial=_complex_initial(8)),
+         2000, 1.0),
+        ("chain3-hbar0.5", _annealer(chain3, 4.0), 2000, 0.5),
+        # rho = 42 on the one step, which takes 29 substeps
+        ("chain3-one-coarse-step", _annealer(chain3, 16.0), 1, 1.0),
+    ]
+
+
+TAYLOR_CASES = _taylor_cases()
+
+
+class TestTaylorStepAgainstEigh:
+    """The Taylor-action step against the per-step eigh it replaced, which is
+    the oracle: overlaps and final states to 1e-12, event flags equal."""
+
+    @pytest.mark.parametrize("name, ih, steps, hbar", TAYLOR_CASES,
+                             ids=[c[0] for c in TAYLOR_CASES])
+    def test_matches_eigh_loop(self, name, ih, steps, hbar, monkeypatch):
+        psi0 = StateVector.uniform(ih.dim)
+        traj = evolve(ih, psi0, ih.total_time,
+                      cfg=IntegratorConfig(steps=steps, hbar=hbar))
+        overlaps, states = eigh_loop(ih, traj.initial_state.amplitudes, traj.times, hbar)
+        assert np.max(np.abs(traj.overlaps - overlaps)) <= 1e-12
+        np.testing.assert_allclose(traj.final_state.amplitudes, states[-1], atol=1e-12)
+
+        got = [detect(traj, ih) for detect in (first_orthogonal, first_antipodal)]
+        # the oracle refines from its own grid states with its own step
+        monkeypatch.setattr(events, "_step_midpoint", eigh_step)
+        looped = dataclasses.replace(traj, overlaps=overlaps, states=states)
+        want = [detect(looped, ih) for detect in (first_orthogonal, first_antipodal)]
+        assert [g.triggered for g in got] == [w.triggered for w in want]
+
+    def test_no_eigh_in_steps_or_refinement(self, monkeypatch):
+        # H(t) = (1 - tau) gap + tau gap = gap reaches orthogonality at pi
+        gap = two_level_gap()
+        ih = InterpolatedHamiltonian(initial=gap, problem=gap, schedule=Schedule.linear(),
+                                     total_time=4.0)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        traj = evolve(ih, PLUS, 4.0)
+        event = first_orthogonal(traj, ih)
+        assert event.triggered and abs(event.time - math.pi) <= 1e-6
+
+
 class TestNormPreservation:
     def test_midpoint_step_drift(self):
         traj = evolve(single_qubit_annealer(T=10.0), StateVector.uniform(2), horizon=10.0)
@@ -352,9 +454,16 @@ class TestInputValidation:
         sched = Schedule.linear(h=lambda tau: math.nan if 0.0 < tau < 1.0 else 0.0)
         ih = InterpolatedHamiltonian(initial=transverse_initial(1), problem=two_level_gap(),
                                      schedule=sched, total_time=1.0, extra=two_level_gap())
-        with pytest.raises(IntegrationError):
-            evolve(ih, StateVector.uniform(2), horizon=1.0,
-                   cfg=IntegratorConfig(method="rk4", steps=10))
+        for method in ("rk4", "midpoint-exponential"):
+            with pytest.raises(IntegrationError):
+                evolve(ih, StateVector.uniform(2), horizon=1.0,
+                       cfg=IntegratorConfig(method=method, steps=10))
+
+    def test_overflowing_step_bound_raises_integration_error(self):
+        # dt/hbar overflows to inf: the step bound is not finite
+        with pytest.raises(IntegrationError, match="step bound"):
+            evolve(projector_annealer(T=1.0), StateVector.uniform(2), horizon=1.0,
+                   cfg=IntegratorConfig(steps=10, hbar=5e-324))
 
     def test_default_steps(self):
         traj = evolve(two_level_gap(), PLUS, horizon=4.0)
