@@ -10,7 +10,6 @@ writes the survival curve next to its lower bound. With matplotlib available
 it also renders the curves to PNG; the CSV carries the same data either way.
 """
 
-import csv
 import math
 import os
 from pathlib import Path
@@ -31,6 +30,7 @@ from qspeedlim import (
     survival_lower_bound_ti,
     write_report_json,
 )
+from qspeedlim.propagate import write_csv_columns
 
 OUT = Path(os.environ.get("QSPEEDLIM_OUT", "demo-output")) / "two-level"
 OUT.mkdir(parents=True, exist_ok=True)
@@ -71,12 +71,9 @@ def run_case(name, diag, horizon):
     write_report_json(report, OUT / f"{name}-report.json")
 
     curve_path = OUT / f"{name}-survival.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "survival", "survival_bound"])
-        for t, p in zip(traj.times, traj.survival):
-            writer.writerow([repr(float(t)), repr(float(p)),
-                             repr(survival_lower_bound_ti(float(t), m.spread, 1.0).value)])
+    bound = survival_lower_bound_ti(traj.times, m.spread, 1.0)
+    write_csv_columns(curve_path, ["t", "survival", "survival_bound"],
+                      [traj.times, traj.survival, bound.value])
     print(f"wrote {curve_path}")
     print()
     return traj, m, report
@@ -104,10 +101,9 @@ try:
         (axes[0], traj_gap, m_gap, "gap diag(0, 1)"),
         (axes[1], traj_sym, m_sym, "symmetric gap diag(-1/2, 1/2)"),
     ]:
-        bound = [survival_lower_bound_ti(float(t), m.spread, 1.0).value
-                 for t in traj.times]
+        bound = survival_lower_bound_ti(traj.times, m.spread, 1.0)
         ax.plot(traj.times, traj.survival, label="survival P(t)")
-        ax.plot(traj.times, bound, "--", label="lower bound")
+        ax.plot(traj.times, bound.value, "--", label="lower bound")
         ax.plot(traj.times, traj.distances["zero"] / 2.0, ":",
                 label="d(t, 0) / 2")
         ax.set_xlabel("t (hbar-relative)")

@@ -49,11 +49,8 @@ class CharacteristicTimes:
 
 def char_times_ti(m: MomentPair, hbar: float) -> CharacteristicTimes:
     """Fixed-Hamiltonian characteristic times 2 hbar / sqrt(spread^2 +
-    energy^2) and hbar sqrt(2) / spread."""
-    denom_any = math.hypot(m.spread, m.energy)
-    t_any = 2.0 * hbar / denom_any if denom_any > 0 else math.inf
-    t_orth = hbar * math.sqrt(2.0) / m.spread if m.spread > 0 else math.inf
-    return CharacteristicTimes(t_any=t_any, t_orth=t_orth)
+    energy^2) and hbar sqrt(2) / spread: the annealing times with g = 1."""
+    return char_times_qac(m, 1.0, hbar)
 
 
 def char_times_qac(m: MomentPair, g_integral: float, hbar: float) -> CharacteristicTimes:
@@ -100,10 +97,11 @@ def survival_lower_bound_qac(t: float, spread_P: float, sched: Schedule, T: floa
 def _clamped_square_bound(spread, elapsed, hbar: float) -> SurvivalBound:
     """(1 - x)^2 clamped to 0 with x = (spread * elapsed)^2 / (2 hbar^2),
     elementwise over an array of elapsed (schedule-weighted) times."""
-    x = np.asarray((spread * elapsed) ** 2 / (2.0 * hbar**2))
+    # np.square, not ** 2: a 0-d ** 2 calls pow(), an ulp off the array's square
+    x = np.square(spread * elapsed) / (2.0 * hbar**2)
     # the eps pad keeps an exact touch of zero (x = 1 up to rounding) from
     # being misreported as vacuous
-    return _elementwise(SurvivalBound, np.clip(1.0 - x, 0.0, None) ** 2, x > 1.0 + 1e-12)
+    return _elementwise(SurvivalBound, np.square(np.clip(1.0 - x, 0.0, None)), x > 1.0 + 1e-12)
 
 
 def _elementwise(result_type, *fields):
@@ -268,18 +266,11 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
 
     if context == "time-independent":
         # event times against characteristic times, in time units
-        if orth is not None:
-            if orth.triggered:
-                margins.append(Margin("orthogonal_time", lhs=char.t_orth,
-                                      rhs=orth.time, slack=orth.bracket_width))
-            else:
-                margins.append(untriggered("orthogonal_time", char.t_orth))
-        if anti is not None:
-            if anti.triggered:
-                margins.append(Margin("antipodal_time", lhs=char.t_any,
-                                      rhs=anti.time, slack=anti.bracket_width))
-            else:
-                margins.append(untriggered("antipodal_time", char.t_any))
+        for name, ev, lhs in (("orthogonal_time", orth, char.t_orth),
+                              ("antipodal_time", anti, char.t_any)):
+            if ev is not None:
+                margins.append(Margin(name, lhs=lhs, rhs=ev.time, slack=ev.bracket_width)
+                               if ev.triggered else untriggered(name, lhs))
     else:
         # schedule-weighted forms: at an event time t_e the accumulated rhs
         # integral must already exceed hbar*sqrt(2) (orthogonal, any policy)

@@ -10,7 +10,6 @@ means every asserted inequality held, 1 means at least one bound violation
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -44,6 +43,7 @@ from .propagate import (
     IntegrationError,
     IntegratorConfig,
     evolve,
+    write_csv_columns,
     write_trajectory_csv,
 )
 from .schedules import Schedule, load_schedule
@@ -194,16 +194,13 @@ def _cmd_decay(args) -> int:
     write_trajectory_csv(traj, traj_path,
                          seed=None if args.two_level else args.seed)
     curve_path = out / "decay.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "survival", "survival_bound", "bound_vacuous",
-                         "exp_decay_diagnostic", "regime_ok"])
-        bound = survival_lower_bound_ti(traj.times, m.spread, cfg.hbar)
-        diag = exp_decay_diagnostic(traj.times, m.spread, m.energy, cfg.hbar)
-        columns = (traj.times, traj.survival, bound.value, bound.vacuous,
-                   diag.value, diag.regime_ok)
-        # csv writes a float as its repr, so this round-trips every value
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+    bound = survival_lower_bound_ti(traj.times, m.spread, cfg.hbar)
+    diag = exp_decay_diagnostic(traj.times, m.spread, m.energy, cfg.hbar)
+    write_csv_columns(curve_path,
+                      ["t", "survival", "survival_bound", "bound_vacuous",
+                       "exp_decay_diagnostic", "regime_ok"],
+                      [traj.times, traj.survival, bound.value, bound.vacuous,
+                       diag.value, diag.regime_ok])
     report_path = out / "report.json"
     write_report_json(report, report_path)
 

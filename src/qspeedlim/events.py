@@ -13,8 +13,8 @@ so a flat minimum reports the bracket it is known to lie in.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,9 @@ KINDS = ("orthogonal", "antipodal")
 NEAR_MISS_CEILING = 1e-3
 
 ROUNDOFF = 1e-14  # on a functional value: overlaps of unit vectors err by a few ulp of 1
+
+_log = logging.getLogger(__name__)
+_log.addHandler(logging.NullHandler())  # silent unless the application configures logging
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def _scan_and_refine(traj: Trajectory, h, q: EventQuery, functional):
             f"minimum overlap {best:.3g} sits between the tolerance and "
             f"{NEAR_MISS_CEILING:g}; the step grid may have missed a narrower crossing"
         )
-        warnings.warn(note, stacklevel=3)
+        _log.warning(note)
     return EventResult(
         triggered=False,
         time=None,

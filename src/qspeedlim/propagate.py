@@ -31,15 +31,19 @@ eigh costs the same at any rho: at the default 2000 steps the annealing runs
 have rho <= 0.05 and take 5 to 8 products a step, but one eigh per step
 would be cheaper above rho of about 5 at dim 64 and about 60 at dim 256
 (one BLAS thread). No campaign steps that coarsely, so there is one path.
+
+CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +61,8 @@ FLOAT_FLOOR = 1e-7
 # theta_m for Taylor degrees m = 1..20: for rho <= theta_m the series tail
 # beyond degree m, at most 2 rho^(m+1)/(m+1)!, stays below 2**-53
 _THETA = [(2.0**-54 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 21)]
+
+_CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the trajectory
 
 
 class IntegrationError(RuntimeError):
@@ -106,6 +112,8 @@ class BetaPolicy:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "proportional"):
             raise ValueError(f"unknown beta policy kind {self.kind!r}")
+        if not (is_number(self.beta0) and math.isfinite(self.beta0)):
+            raise ValueError(f"beta0 must be a finite number, got {self.beta0!r}")
 
     @classmethod
     def zero(cls) -> "BetaPolicy":
@@ -286,7 +294,6 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     beta_grids = {p.label: p.values(times, h) for p in betas}
 
     # integrand ||(H(t_k) - beta_k) phi0|| on the step grid
-    integrands = {}
     if interp:
         # H(t_k) phi0 = f_k H_I phi0 + g_k H_P phi0 (+ h_k E phi0)
         tau = np.clip(times / h.total_time, 0.0, 1.0)
@@ -295,16 +302,10 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
                          + np.outer(s.g(tau), h.problem.entries @ phi0))
         if h.extra is not None:
             residual_base += np.outer([s.h(x) for x in tau], h.extra.entries @ phi0)
-        for label, bvals in beta_grids.items():
-            integrands[label] = np.linalg.norm(
-                residual_base - bvals[:, None] * phi0[None, :], axis=1
-            )
     else:
-        Hphi = h.entries @ phi0
-        for label, bvals in beta_grids.items():
-            integrands[label] = np.linalg.norm(
-                Hphi[None, :] - bvals[:, None] * phi0[None, :], axis=1
-            )
+        residual_base = (h.entries @ phi0)[None, :]
+    integrands = {label: np.linalg.norm(residual_base - bvals[:, None] * phi0[None, :], axis=1)
+                  for label, bvals in beta_grids.items()}
 
     rhs_integrals = {label: cumulative_trapezoid(v, dt) for label, v in integrands.items()}
     beta_accum = {label: cumulative_trapezoid(v, dt) for label, v in beta_grids.items()}
@@ -342,6 +343,11 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     for label in labels:
         phased = np.exp(-1j * beta_accum[label] / hbar) * overlaps
         distances[label] = np.sqrt(np.clip(2.0 - 2.0 * phased.real, 0.0, 4.0))
+        bad = np.flatnonzero(~np.isfinite(distances[label]))  # not a bound violation
+        if bad.size:
+            t = times[bad[0]]
+            raise IntegrationError(f"beta policy {label!r}: distance not finite at t = {t:.9g} "
+                                   f"(phase integral {beta_accum[label][bad[0]]:.6g})", time=t)
 
     if states is not None:
         states.setflags(write=False)
@@ -399,22 +405,25 @@ def convergence_order(h, psi0, horizon, cfg: IntegratorConfig | None = None) -> 
     return ConvergenceResult(order=order, exact=False, errors=errors)
 
 
+def write_csv_columns(path, header, columns) -> None:
+    """CSV of a header row and equal-length array columns, streamed a block
+    of rows at a time. The bytes are those csv.writer writes: a float as its
+    shortest round-trip repr, a bool as True/False, CRLF row ends."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*(map(repr, c[start:start + _CSV_BLOCK].tolist()) for c in columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
 def write_trajectory_csv(traj: Trajectory, path, seed=None) -> None:
     """CSV of the recorded observables plus a .meta.json sidecar."""
-    import csv
-    from pathlib import Path
-
     path = Path(path)
-    labels = list(traj.distances.keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t", "re_overlap", "im_overlap", "survival"]
-        columns = [traj.times, traj.overlaps.real, traj.overlaps.imag, traj.survival]
-        for label in labels:
-            header += [f"distance_{label}", f"rhs_integral_{label}"]
-            columns += [traj.distances[label], traj.rhs_integrals[label]]
-        writer.writerow(header)
-        # csv writes a float as its repr, so this round-trips every value
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+    header = ["t", "re_overlap", "im_overlap", "survival"]
+    columns = [traj.times, traj.overlaps.real, traj.overlaps.imag, traj.survival]
+    for label in traj.distances:
+        header += [f"distance_{label}", f"rhs_integral_{label}"]
+        columns += [traj.distances[label], traj.rhs_integrals[label]]
+    write_csv_columns(path, header, columns)
     meta = {"seed": seed, "method": traj.method, "dt": traj.dt, "hbar": traj.hbar}
     path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")

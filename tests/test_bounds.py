@@ -146,6 +146,16 @@ class TestSurvivalBounds:
             assert arr.vacuous[k] == one.vacuous
         assert list(arr.vacuous) == [False, False, False, True]
 
+    def test_scalar_and_array_calls_agree_bitwise(self):
+        # at the first two (grid times of the two-level demo) a scalar square
+        # through pow() was one ulp off the array's correctly rounded square
+        times = [551 * 0.002, 1388 * 0.002, 0.5, 2.0]
+        arr = survival_lower_bound_ti(np.array(times), spread=0.5, hbar=1.0)
+        for k, t in enumerate(times):
+            one = survival_lower_bound_ti(t, spread=0.5, hbar=1.0)
+            y = 1.0 - (0.5 * t) * (0.5 * t) / 2.0
+            assert one.value == arr.value[k] == y * y
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             survival_lower_bound_ti(-1.0, spread=0.5, hbar=1.0)

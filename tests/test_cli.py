@@ -288,6 +288,15 @@ class TestDecay:
         assert "distance_const0.3" in header
         assert "distance_opt" not in header
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_or_overflowing_beta_is_input_error(self, tmp_path, capsys, beta):
+        # 1e308 is finite, but its phase integral overflows; none of these is a violation
+        rc = main(["decay", "--two-level", f"--beta={beta}", "--out", str(tmp_path), *FAST])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "violating report" not in captured.out
+        assert "beta" in captured.err
+
     def test_needs_system_choice(self, tmp_path, capsys):
         rc = main(["decay", "--out", str(tmp_path)])
         assert rc == 2

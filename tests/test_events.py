@@ -1,4 +1,7 @@
+import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,18 +65,32 @@ class TestOrthogonal:
         assert not res.triggered
         assert res.functional_value == pytest.approx(1.0, abs=1e-9)
 
-    def test_near_miss_emits_limitation_note(self):
+    def test_near_miss_emits_limitation_note(self, caplog):
         # balanced-but-for-5e-4 populations: min |overlap| = 5e-4, inside the
         # (tolerance, 1e-3] window that cannot be certified either way
         p0 = 0.50025
         psi0 = StateVector.normalized(np.array([math.sqrt(p0), math.sqrt(1.0 - p0)]))
         H = gap_hamiltonian()
         traj = evolve(H, psi0, horizon=4.0)
-        with pytest.warns(UserWarning, match="between"):
+        with caplog.at_level(logging.WARNING, logger="qspeedlim.events"):
             res = first_orthogonal(traj, H)
+        assert [r.name for r in caplog.records] == ["qspeedlim.events"]
+        assert "between" in caplog.records[0].getMessage()
         assert not res.triggered
         assert res.functional_value == pytest.approx(5e-4, abs=1e-6)
         assert res.note is not None
+
+    def test_near_miss_prints_nothing_by_default(self):
+        # the log record reaches no stream unless the application configures logging
+        code = ("import math, numpy as np\n"
+                "from qspeedlim import HermitianOperator, StateVector, evolve, first_orthogonal\n"
+                "H = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))\n"
+                "psi0 = StateVector.normalized(np.array([math.sqrt(0.50025), math.sqrt(0.49975)]))\n"
+                "print(first_orthogonal(evolve(H, psi0, horizon=4.0), H).note is not None)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+        assert proc.stderr == ""
 
     def test_first_of_many_crossings_returned(self):
         H = gap_hamiltonian()

@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspeedlim import events
+from qspeedlim import cli, events, propagate
 from qspeedlim.algebra import (
     HermitianOperator,
     StateVector,
@@ -33,6 +34,7 @@ from qspeedlim.propagate import (
     Trajectory,
     convergence_order,
     evolve,
+    write_csv_columns,
     write_trajectory_csv,
 )
 from qspeedlim.schedules import Schedule
@@ -459,6 +461,21 @@ class TestInputValidation:
                 evolve(ih, StateVector.uniform(2), horizon=1.0,
                        cfg=IntegratorConfig(method=method, steps=10))
 
+    def test_non_finite_beta_rejected(self):
+        for beta0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="beta0"):
+                BetaPolicy.constant(beta0)
+        with pytest.raises(ValueError, match="beta0"):
+            BetaPolicy("proportional", math.nan)
+
+    def test_overflowing_phase_integral_raises_integration_error(self):
+        # beta = 1e308 is finite, but its phase integral overflows to inf and
+        # every distance after t = 0 comes out NaN
+        with pytest.raises(IntegrationError, match="const1e\\+308") as info:
+            evolve(two_level_gap(), PLUS, horizon=4.0, cfg=IntegratorConfig(steps=100),
+                   betas=[BetaPolicy.zero(), BetaPolicy.constant(1e308)])
+        assert info.value.time == pytest.approx(0.04)
+
     def test_overflowing_step_bound_raises_integration_error(self):
         # dt/hbar overflows to inf: the step bound is not finite
         with pytest.raises(IntegrationError, match="step bound"):
@@ -585,3 +602,53 @@ class TestExport:
         traj = evolve(two_level_gap(), PLUS, horizon=2.0,
                       cfg=IntegratorConfig(steps=100, record_states=False))
         assert traj.states is None
+
+
+def _csv_writer_oracle(path, header, columns):
+    """The row-at-a-time writer that write_csv_columns replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
+
+
+ADVERSARIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16,
+               1e-5, 0.1 + 0.2, 1.0, -1.5, 2.0**53 + 2.0, 1.7976931348623157e308]
+BLOCK = propagate._CSV_BLOCK
+
+
+class TestCsvColumnsAgainstCsvWriter:
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_adversarial_columns_byte_identical(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        special = np.resize(np.array(ADVERSARIAL), rows)
+        columns = [special, rng.permutation(special), rng.standard_normal(rows) * 1e-300,
+                   rng.standard_normal(rows) * 1e300, rng.standard_normal(rows) > 0]
+        header = ["t", "odd,name", 'quote"d', "x", "flag"]
+        write_csv_columns(tmp_path / "got.csv", header, columns)
+        _csv_writer_oracle(tmp_path / "want.csv", header, columns)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == rows + 1
+
+    def test_decay_cli_files_match_oracle(self, tmp_path, monkeypatch):
+        # both CSVs of a real decay run, more than one block of rows long
+        real = propagate.write_csv_columns
+        written = []
+
+        def twin(path, header, columns):
+            real(path, header, columns)
+            _csv_writer_oracle(f"{path}.oracle", header, columns)
+            written.append(path)
+
+        monkeypatch.setattr(propagate, "write_csv_columns", twin)
+        monkeypatch.setattr(cli, "write_csv_columns", twin)
+        steps = BLOCK + 904
+        rc = cli.main(["decay", "--dim", "16", "--seed", "3", "--steps", str(steps),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert sorted(p.name for p in map(Path, written)) == ["decay.csv", "trajectory.csv"]
+        for path in written:
+            got = Path(path).read_bytes()
+            assert got == Path(f"{path}.oracle").read_bytes()
+            assert got.count(b"\r\n") == steps + 2
