@@ -1,11 +1,13 @@
 """Integrator diagnostics: exactness, convergence orders, and norm drift.
 
-The midpoint-exponential stepper diagonalizes H at the step midpoint and
-applies the exact phase factors. For a time-independent Hamiltonian that IS
-the propagator, so the step error sits at round-off and the order probe
-reports "exact". On an interpolated Hamiltonian it is a second-order method
-that stays exactly unitary per step; rk4 converges at fourth order but lets
-the norm drift. The script measures all of this on the single-qubit
+The midpoint-exponential stepper applies exp(-i H dt/hbar), with H taken at
+the step midpoint, as a Taylor series of matrix-vector products truncated at
+round-off; only a step too coarse for one Taylor substep, and costlier than
+an eigh, diagonalizes H instead. For a time-independent Hamiltonian that IS the
+propagator (solved in closed form from one eigh), so the step error sits at
+round-off and the order probe reports "exact". On an interpolated
+Hamiltonian it is a second-order method that stays unitary per step to
+round-off; rk4 converges at fourth order but lets the norm drift. The script measures all of this on the single-qubit
 projector interpolation and prints the step-halving table behind the
 order-2 claim.
 """

@@ -17,16 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from qspeedlim import (
-    BetaPolicy,
-    EventQuery,
     HermitianOperator,
+    IntegratorConfig,
     StateVector,
-    char_times_ti,
-    check_inequalities,
-    evolve,
-    first_antipodal,
-    first_orthogonal,
-    state_moments,
+    run_time_independent,
     survival_lower_bound_ti,
     write_report_json,
 )
@@ -41,19 +35,14 @@ PLUS = StateVector.normalized(np.array([1.0, 1.0]))
 def run_case(name, diag, horizon):
     print(f"== {name}: H = diag({diag[0]:g}, {diag[1]:g}), plus start state ==")
     h = HermitianOperator(np.diag(diag).astype(complex))
-    m = state_moments(h, PLUS)
-    char = char_times_ti(m, hbar=1.0)
+    report, traj = run_time_independent(h, PLUS, IntegratorConfig(), {"demo": name},
+                                        horizon=horizon)
+    m, char = report.moments, report.characteristic
     print(f"moments: mean {m.energy:g}, spread {m.spread:g}")
     print(f"characteristic times: antipodal >= {char.t_any:g}, "
           f"orthogonality >= {char.t_orth:.6f}")
 
-    traj = evolve(h, PLUS, horizon,
-                  betas=[BetaPolicy.zero(), BetaPolicy.constant(m.energy, name="opt")])
-    events = {
-        "orthogonal": first_orthogonal(traj, h, EventQuery(kind="orthogonal")),
-        "antipodal": first_antipodal(traj, h, EventQuery(kind="antipodal")),
-    }
-    for kind, ev in events.items():
+    for kind, ev in report.events.items():
         if ev.triggered:
             print(f"{kind} event at t = {ev.time:.9f} "
                   f"(bracket width {ev.bracket_width:.2e})")
@@ -61,8 +50,6 @@ def run_case(name, diag, horizon):
             print(f"{kind} event: not reached inside horizon "
                   f"(functional minimum {ev.functional_value:.3g})")
 
-    report = check_inequalities(traj, m, "time-independent", events=events,
-                                provenance={"demo": name})
     for margin in report.margins:
         state = "ok" if margin.satisfied else "VIOLATED"
         note = f"  ({margin.note})" if margin.note else ""

@@ -45,6 +45,7 @@ from .campaigns import (
     run_entanglement_compare,
     run_gue_ensemble,
     run_qac,
+    run_time_independent,
     write_campaign_result,
 )
 from .events import (
@@ -131,6 +132,7 @@ __all__ = [
     "run_gue_ensemble",
     "run_qac",
     "run_entanglement_compare",
+    "run_time_independent",
     "run_campaign",
     "load_campaign",
     "write_campaign_result",

@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import json
 import numbers
 from dataclasses import dataclass
 
@@ -23,6 +24,15 @@ HERMITICITY_TOL = 1e-12
 def is_number(x, kind=numbers.Real) -> bool:
     """isinstance(x, kind) for a numbers ABC, with bools excluded."""
     return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def read_json(path):
+    """The parsed JSON file; malformed JSON is a ValueError at path:line:col."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def _check_same_dim(da: int, db: int) -> None:

@@ -97,8 +97,10 @@ def survival_lower_bound_qac(t: float, spread_P: float, sched: Schedule, T: floa
 def _clamped_square_bound(spread, elapsed, hbar: float) -> SurvivalBound:
     """(1 - x)^2 clamped to 0 with x = (spread * elapsed)^2 / (2 hbar^2),
     elementwise over an array of elapsed (schedule-weighted) times."""
-    # np.square, not ** 2: a 0-d ** 2 calls pow(), an ulp off the array's square
-    x = np.square(spread * elapsed) / (2.0 * hbar**2)
+    # np.square, not ** 2: a 0-d ** 2 calls pow(), an ulp off the array's square;
+    # an overflow to inf reads as vacuous below
+    with np.errstate(over="ignore"):
+        x = np.square(spread * elapsed) / (2.0 * hbar**2)
     # the eps pad keeps an exact touch of zero (x = 1 up to rounding) from
     # being misreported as vacuous
     return _elementwise(SurvivalBound, np.square(np.clip(1.0 - x, 0.0, None)), x > 1.0 + 1e-12)
@@ -273,31 +275,21 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
                                if ev.triggered else untriggered(name, lhs))
     else:
         # schedule-weighted forms: at an event time t_e the accumulated rhs
-        # integral must already exceed hbar*sqrt(2) (orthogonal, any policy)
+        # integral must already exceed hbar*sqrt(2) (orthogonal, best policy)
         # or 2*hbar (antipodal, zero policy)
-        if orth is not None:
-            if orth.triggered:
-                at_event = {label: float(np.interp(orth.time, traj.times, v))
-                            for label, v in traj.rhs_integrals.items()}
-                best_label = min(at_event, key=at_event.get)
-                rhs = at_event[best_label]
-                slack = (slack_map[best_label]
-                         + orth.bracket_width * traj.integrand_max[best_label])
-                margins.append(Margin("qac_orthogonal", lhs=hbar * math.sqrt(2.0),
-                                      rhs=rhs, slack=slack,
-                                      note=f"policy {best_label}"))
-            else:
-                margins.append(untriggered("qac_orthogonal", hbar * math.sqrt(2.0)))
-        if anti is not None:
-            if anti.triggered and "zero" in traj.rhs_integrals:
-                rhs = float(np.interp(anti.time, traj.times,
-                                      traj.rhs_integrals["zero"]))
-                slack = (slack_map["zero"]
-                         + anti.bracket_width * traj.integrand_max["zero"])
-                margins.append(Margin("qac_antipodal", lhs=2.0 * hbar, rhs=rhs,
-                                      slack=slack, note="policy zero"))
-            elif not anti.triggered:
-                margins.append(untriggered("qac_antipodal", 2.0 * hbar))
+        for name, ev, lhs, labels in (
+                ("qac_orthogonal", orth, hbar * math.sqrt(2.0), traj.rhs_integrals),
+                ("qac_antipodal", anti, 2.0 * hbar, ["zero"])):
+            labels = [label for label in labels if label in traj.rhs_integrals]
+            if ev is not None and not ev.triggered:
+                margins.append(untriggered(name, lhs))
+            elif ev is not None and labels:
+                at_event = {label: float(np.interp(ev.time, traj.times, traj.rhs_integrals[label]))
+                            for label in labels}
+                best = min(at_event, key=at_event.get)
+                slack = slack_map[best] + ev.bracket_width * traj.integrand_max[best]
+                margins.append(Margin(name, lhs, rhs=at_event[best], slack=slack,
+                                      note=f"policy {best}"))
 
     return BoundReport(
         context=context,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import HermitianOperator, StateVector, is_number, random_state
+from .algebra import HermitianOperator, StateVector, is_number, random_state, read_json
 from .bounds import (
     BoundReport,
     char_times_ti,
@@ -80,12 +80,7 @@ class Campaign:
 
 
 def load_campaign(path) -> Campaign:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return Campaign.from_dict(data)
+    return Campaign.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -166,6 +161,35 @@ def _detect_events(traj, h) -> dict:
     }
 
 
+def _fallback_horizon(char, horizon_mult: float) -> float:
+    if np.isfinite(char.t_orth):
+        return horizon_mult * char.t_orth
+    if np.isfinite(char.t_any):
+        return horizon_mult * char.t_any
+    return 1.0
+
+
+def run_time_independent(H: HermitianOperator, psi0: StateVector, cfg: IntegratorConfig,
+                         provenance: dict, horizon: float | None = None,
+                         horizon_mult: float = 4.0, beta: float | None = None,
+                         events: bool = True) -> tuple:
+    """(report, trajectory) of the paper's fixed-H recipe; report.moments are
+    those of H in psi0. The horizon defaults to horizon_mult characteristic
+    times (_fallback_horizon), the policies are zero and a constant (the mean
+    energy, labelled "opt", unless beta is given), and both events are
+    detected unless events is False."""
+    m = state_moments(H, psi0)
+    if horizon is None:
+        horizon = _fallback_horizon(char_times_ti(m, cfg.hbar), horizon_mult)
+    reference = (BetaPolicy.constant(m.energy, name="opt") if beta is None
+                 else BetaPolicy.constant(beta))
+    traj = evolve(H, psi0, horizon, cfg=cfg, betas=[BetaPolicy.zero(), reference])
+    report = check_inequalities(traj, m, "time-independent",
+                                events=_detect_events(traj, H) if events else None,
+                                provenance=provenance)
+    return report, traj
+
+
 def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignResult:
     """The four closed-form cases: an orthogonality-reaching gap system, an
     antipodal-reaching symmetric gap, frozen dynamics, and a stationary
@@ -186,27 +210,11 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignRe
     config_hash = _config_hash({"kind": "analytic-two-level",
                                 "integrator": asdict(cfg)})
 
-    def member(case):
-        name, H, psi0, horizon = case
-        m = state_moments(H, psi0)
-        betas = [BetaPolicy.zero(), BetaPolicy.constant(m.energy, name="opt")]
-        traj = evolve(H, psi0, horizon, cfg=cfg, betas=betas)
-        events = _detect_events(traj, H)
-        return check_inequalities(
-            traj, m, "time-independent", events=events,
-            provenance={"campaign": "analytic-two-level", "case": name,
-                        "config_hash": config_hash})
-
-    reports = [member(case) for case in cases]
+    reports = [run_time_independent(H, psi0, cfg, horizon=horizon,
+                                    provenance={"campaign": "analytic-two-level", "case": name,
+                                                "config_hash": config_hash})[0]
+               for name, H, psi0, horizon in cases]
     return _collect("analytic-two-level", reports, config_hash)
-
-
-def _fallback_horizon(char, horizon_mult: float) -> float:
-    if np.isfinite(char.t_orth):
-        return horizon_mult * char.t_orth
-    if np.isfinite(char.t_any):
-        return horizon_mult * char.t_any
-    return 1.0
 
 
 def run_gue_ensemble(dim: int, seeds, horizon_mult: float = 4.0,
@@ -230,16 +238,10 @@ def run_gue_ensemble(dim: int, seeds, horizon_mult: float = 4.0,
         H = random_hermitian(dim, seed)
         if shift_ground:
             H = shift_ground_to_zero(H)
-        psi0 = random_state(dim, [seed, 17])
-        m = state_moments(H, psi0)
-        horizon = _fallback_horizon(char_times_ti(m, cfg.hbar), horizon_mult)
-        betas = [BetaPolicy.zero(), BetaPolicy.constant(m.energy, name="opt")]
-        traj = evolve(H, psi0, horizon, cfg=cfg, betas=betas)
-        events = _detect_events(traj, H)
-        return check_inequalities(
-            traj, m, "time-independent", events=events,
+        return run_time_independent(
+            H, random_state(dim, [seed, 17]), cfg, horizon_mult=horizon_mult,
             provenance={"campaign": "gue-ensemble", "dim": dim, "seed": seed,
-                        "shift_ground": shift_ground, "config_hash": config_hash})
+                        "shift_ground": shift_ground, "config_hash": config_hash})[0]
 
     reports = [member(seed) for seed in seeds]
     return _collect("gue-ensemble", reports, config_hash)
@@ -351,26 +353,18 @@ def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
         }
         out = []
         for variant, amps in variants.items():
-            psi0 = StateVector.normalized(amps)
-            m = state_moments(Hc, psi0)
-            horizon = _fallback_horizon(char_times_ti(m, cfg.hbar), horizon_mult)
-            betas = [BetaPolicy.zero(), BetaPolicy.constant(m.energy, name="opt")]
-            traj = evolve(Hc, psi0, horizon, cfg=cfg, betas=betas)
-            rep = check_inequalities(
-                traj, m, "time-independent",
+            rep, traj = run_time_independent(
+                Hc, StateVector.normalized(amps), cfg, horizon_mult=horizon_mult, events=False,
                 provenance={"campaign": "entanglement-compare", "seed": seed,
                             "variant": variant, "subsystem_dim": subsystem_dim,
                             "config_hash": config_hash})
             out.append((rep, {"seed": seed, "variant": variant,
-                              "spread": m.spread,
+                              "spread": rep.moments.spread,
                               "half_time": _half_time(traj)}))
         return out
 
-    reports, records = [], []
-    for seed in seeds:
-        for rep, rec in member(seed):
-            reports.append(rep)
-            records.append(rec)
+    pairs = [pair for seed in seeds for pair in member(seed)]
+    reports, records = [p[0] for p in pairs], [p[1] for p in pairs]
     records.sort(key=lambda r: (r["seed"], r["variant"]))
 
     decayed = [r for r in records if r["half_time"] is not None]

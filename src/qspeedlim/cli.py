@@ -18,34 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import HermitianOperator, StateVector, random_state
-from .bounds import (
-    char_times_ti,
-    check_inequalities,
-    exp_decay_diagnostic,
-    state_moments,
-    survival_lower_bound_ti,
-    write_report_json,
-)
+from .bounds import exp_decay_diagnostic, survival_lower_bound_ti, write_report_json
 from .campaigns import (
-    _detect_events,
-    _fallback_horizon,
     load_campaign,
     run_analytic_suite,
     run_campaign,
     run_entanglement_compare,
     run_gue_ensemble,
     run_qac,
+    run_time_independent,
     write_campaign_result,
 )
 from .hamiltonians import load_ising_instance, random_hermitian
-from .propagate import (
-    BetaPolicy,
-    IntegrationError,
-    IntegratorConfig,
-    evolve,
-    write_csv_columns,
-    write_trajectory_csv,
-)
+from .propagate import IntegrationError, IntegratorConfig, write_csv_columns, write_trajectory_csv
 from .schedules import Schedule, load_schedule
 
 OUT_ENV_VAR = "QSPEEDLIM_OUT"
@@ -176,17 +161,8 @@ def _cmd_decay(args) -> int:
                       "dim": args.dim, "seed": args.seed}
 
     cfg = _integrator(args)
-    m = state_moments(h, psi0)
-    horizon = args.horizon
-    if horizon is None:
-        horizon = _fallback_horizon(char_times_ti(m, cfg.hbar), 4.0)
-    if args.beta is not None:
-        betas = [BetaPolicy.zero(), BetaPolicy.constant(args.beta)]
-    else:
-        betas = [BetaPolicy.zero(), BetaPolicy.constant(m.energy, name="opt")]
-    traj = evolve(h, psi0, horizon, cfg=cfg, betas=betas)
-    report = check_inequalities(traj, m, "time-independent", events=_detect_events(traj, h),
-                                provenance=provenance)
+    report, traj = run_time_independent(h, psi0, cfg, provenance, args.horizon, beta=args.beta)
+    m = report.moments
 
     out = _out_dir(args, "decay")
     out.mkdir(parents=True, exist_ok=True)

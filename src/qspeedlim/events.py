@@ -6,7 +6,7 @@ Both events minimize a nonnegative functional of the overlap, so detection is
 a grid scan for local minima below a coarse threshold followed by
 golden-section refinement at off-grid times. A closed-form trajectory (fixed H)
 sums its spectrum there, sum_j |c_j|^2 exp(+i w_j t/hbar), in O(dim) with no eigh;
-a step-loop trajectory takes one short Taylor-action step, also without an eigh,
+a step-loop trajectory takes one midpoint-exponential step shorter than dt
 from the nearest recorded grid state. The reported bracket stops shrinking once round-off can steer the search,
 so a flat minimum reports the bracket it is known to lie in.
 """

@@ -3,13 +3,12 @@ random Gaussian-ensemble draws, and schedule-interpolated combinations."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
-from .algebra import DIM_CAP, HermitianOperator, is_number
+from .algebra import DIM_CAP, HermitianOperator, is_number, read_json
 from .schedules import Schedule
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -112,12 +111,7 @@ def ising_problem(inst: IsingInstance) -> HermitianOperator:
 
 
 def load_ising_instance(path) -> IsingInstance:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return IsingInstance.from_dict(data)
+    return IsingInstance.from_dict(read_json(path))
 
 
 def noninteracting_pair(h1: HermitianOperator, h2: HermitianOperator) -> HermitianOperator:

@@ -18,19 +18,18 @@ form from one eigh: with c = V^dagger phi0, <psi(t)|phi0> = sum_j |c_j|^2
 exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. An
 interpolated H(t), and every rk4 run, walk the step grid.
 
-A midpoint-exponential step applies exp(-i H(t + dt/2) dt/hbar) to psi without
-an eigh, as a truncated Taylor series of matrix-vector products (the action
-of the exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+A midpoint-exponential step applies exp(-i H(t + dt/2) dt/hbar) to psi as a
+truncated Taylor series of matrix-vector products (the action of the
+exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 The step bound rho = (dt/hbar)(|f| ||H_I||_1 + |g| ||H_P||_1 + |h| ||E||_1)
 is at least the 2-norm of the exponent, since H(t) is Hermitian. The step
 takes s = ceil(rho/theta_max) substeps of the smallest degree m whose
 theta_m covers rho/s, where theta_m bounds the series tail beyond degree m
-by unit round-off, so the step is exact to round-off like the eigh it
-replaced. Its cost, about s*m products, grows linearly with rho, while an
-eigh costs the same at any rho: at the default 2000 steps the annealing runs
-have rho <= 0.05 and take 5 to 8 products a step, but one eigh per step
-would be cheaper above rho of about 5 at dim 64 and about 60 at dim 256
-(one BLAS thread). No campaign steps that coarsely, so there is one path.
+by unit round-off, so the step is exact to round-off like an eigh. Its cost,
+about s*m products, grows with rho, while an eigh step costs about 3*dim
+products at any rho (one BLAS thread: 2.7*dim at dim 64, 3.4*dim at 256), so
+a step with s > 1 and s*m > 3*dim is taken by one eigh of H(t + dt/2). The
+annealing runs at the default 2000 steps have rho <= 0.05: 5 to 8 products.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
@@ -61,6 +60,8 @@ FLOAT_FLOOR = 1e-7
 # theta_m for Taylor degrees m = 1..20: for rho <= theta_m the series tail
 # beyond degree m, at most 2 rho^(m+1)/(m+1)!, stays below 2**-53
 _THETA = [(2.0**-54 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 21)]
+
+_EIGH_PRODUCTS_PER_DIM = 3  # an eigh step costs about 3*dim Taylor products
 
 _CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the trajectory
 
@@ -206,8 +207,8 @@ def _step_bounds(h: InterpolatedHamiltonian, mids, dt: float, hbar: float) -> np
 
 def _step_midpoint(h, psi, t, dt, hbar, rho=None):
     """One unitary step exp(-i H(t + dt/2) dt / hbar) |psi> as a truncated
-    Taylor series; rho bounds ||H(t + dt/2)||_1 dt/hbar and is taken from the
-    matrix when not given."""
+    Taylor series, or by eigh when that series costs more; rho bounds
+    ||H(t + dt/2)||_1 dt/hbar and is taken from the matrix when not given."""
     M = _matrix_at(h, t + dt / 2.0)
     if rho is None:
         rho = dt / hbar * np.linalg.norm(M, 1)
@@ -216,6 +217,9 @@ def _step_midpoint(h, psi, t, dt, hbar, rho=None):
                                f"finite", time=float(t))
     substeps = max(1, math.ceil(rho / _THETA[-1]))
     degree = 1 + bisect.bisect_left(_THETA, rho / substeps)
+    if substeps > 1 and substeps * degree > _EIGH_PRODUCTS_PER_DIM * len(psi):
+        w, V = np.linalg.eigh(M)
+        return V @ (np.exp(-1j * w * dt / hbar) * (V.conj().T @ psi))
     scale = -1j * dt / (hbar * substeps)
     for _ in range(substeps):
         term = psi
@@ -304,11 +308,12 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
             residual_base += np.outer([s.h(x) for x in tau], h.extra.entries @ phi0)
     else:
         residual_base = (h.entries @ phi0)[None, :]
-    integrands = {label: np.linalg.norm(residual_base - bvals[:, None] * phi0[None, :], axis=1)
-                  for label, bvals in beta_grids.items()}
-
-    rhs_integrals = {label: cumulative_trapezoid(v, dt) for label, v in integrands.items()}
-    beta_accum = {label: cumulative_trapezoid(v, dt) for label, v in beta_grids.items()}
+    # a huge beta overflows these to inf, which the distance check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrands = {label: np.linalg.norm(residual_base - bvals[:, None] * phi0[None, :], axis=1)
+                      for label, bvals in beta_grids.items()}
+        rhs_integrals = {label: cumulative_trapezoid(v, dt) for label, v in integrands.items()}
+        beta_accum = {label: cumulative_trapezoid(v, dt) for label, v in beta_grids.items()}
     integrand_max = {label: float(np.max(v)) for label, v in integrands.items()}
 
     spectrum = states = None
@@ -341,7 +346,8 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     survival = np.abs(overlaps) ** 2
     distances = {}
     for label in labels:
-        phased = np.exp(-1j * beta_accum[label] / hbar) * overlaps
+        with np.errstate(invalid="ignore"):
+            phased = np.exp(-1j * beta_accum[label] / hbar) * overlaps
         distances[label] = np.sqrt(np.clip(2.0 - 2.0 * phased.real, 0.0, 4.0))
         bad = np.flatnonzero(~np.isfinite(distances[label]))  # not a bound violation
         if bad.size:

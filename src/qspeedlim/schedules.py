@@ -8,12 +8,11 @@ point or an array of points, and every kind integrates g in closed form.
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
 
-from .algebra import is_number
+from .algebra import is_number, read_json
 
 BOUNDARY_TOL = 1e-12
 
@@ -154,9 +153,4 @@ def schedule_integral(s: Schedule, upto: float = 1.0) -> float:
 
 
 def load_schedule(path) -> Schedule:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return Schedule.from_dict(data)
+    return Schedule.from_dict(read_json(path))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -45,6 +46,14 @@ FUZZ_VALUES = st.one_of(
 def run_main(argv, capsys=None):
     rc = main(argv)
     return rc
+
+
+def run_cli_process(argv, **kwargs):
+    """The CLI in a fresh interpreter, with this checkout's sources first on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qspeedlim.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 class TestArgumentParsing:
@@ -256,6 +265,17 @@ class TestQac:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_astronomical_T_returns_promptly(self, tmp_path):
+        # a step bound of ~1e300 would take ~1e300 Taylor substeps; each step
+        # is one eigh instead
+        path = tmp_path / "chain3.json"
+        path.write_text(json.dumps({"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]],
+                                    "fields": [[0, 0.25], [2, -0.5]]}))
+        proc = run_cli_process(["qac", "--instance", str(path), "--T", "1e300",
+                                "--out", str(tmp_path / "o")], timeout=10)
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestDecay:
     def test_two_level_outputs(self, tmp_path, capsys):
@@ -296,6 +316,23 @@ class TestDecay:
         captured = capsys.readouterr()
         assert "violating report" not in captured.out
         assert "beta" in captured.err
+
+    def test_overflowing_beta_prints_only_the_error(self, tmp_path):
+        proc = run_cli_process(["decay", "--two-level", "--beta", "1e308",
+                                "--out", str(tmp_path), *FAST])
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
+    def test_report_matches_the_ensemble_member(self, tmp_path):
+        # decay and ensemble share one time-independent recipe
+        assert main(["decay", "--dim", "8", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
+        assert main(["ensemble", "--dim", "8", "--seeds", "3..4",
+                     "--out", str(tmp_path / "e")]) == 0
+        decay = json.loads((tmp_path / "d" / "report.json").read_text())
+        member = json.loads((tmp_path / "e" / "report-0000.json").read_text())
+        assert decay.pop("provenance") != member.pop("provenance")
+        assert decay == member
 
     def test_needs_system_choice(self, tmp_path, capsys):
         rc = main(["decay", "--out", str(tmp_path)])

@@ -337,6 +337,8 @@ def _taylor_cases():
     cases += [(f"chain3-T{T:g}", _annealer(chain3, T), 2000, 1.0) for T in (1.0, 4.0, 16.0)]
     return cases + [
         ("chain6-T16", _annealer(_chain(6), 16.0), 2000, 1.0),
+        # rho up to 5.3: 4 substeps and at most 80 products a step, below an eigh's 3 * 64
+        ("chain6-coarse-taylor", _annealer(_chain(6), 16.0), 18, 1.0),
         ("chain3-poly2.5", _annealer(chain3, 4.0, Schedule.polynomial(2.5)), 2000, 1.0),
         ("chain3-tabulated", _annealer(chain3, 4.0, tabulated), 2000, 1.0),
         ("chain3-extra-term", _annealer(chain3, 4.0, bump, extra=random_hermitian(8, 5)),
@@ -344,7 +346,7 @@ def _taylor_cases():
         ("chain3-complex-initial", _annealer(chain3, 4.0, initial=_complex_initial(8)),
          2000, 1.0),
         ("chain3-hbar0.5", _annealer(chain3, 4.0), 2000, 0.5),
-        # rho = 42 on the one step, which takes 29 substeps
+        # rho = 42 on the one step, which is past the switch to one eigh
         ("chain3-one-coarse-step", _annealer(chain3, 16.0), 1, 1.0),
     ]
 
@@ -372,6 +374,24 @@ class TestTaylorStepAgainstEigh:
         looped = dataclasses.replace(traj, overlaps=overlaps, states=states)
         want = [detect(looped, ih) for detect in (first_orthogonal, first_antipodal)]
         assert [g.triggered for g in got] == [w.triggered for w in want]
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_eigh_switch_matches_taylor(self, n, monkeypatch):
+        # the shortest step on a fine grid that is taken by eigh, against the
+        # Taylor action the switch skips
+        ih = _annealer(_chain(n), 16.0)
+        psi = StateVector.uniform(ih.dim).amplitudes
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        for dt in np.geomspace(0.05, 20.0, 400):
+            switched = propagate._step_midpoint(ih, psi, 0.0, dt, 1.0)
+            if calls:
+                break
+        assert calls and dt > 0.05
+        monkeypatch.setattr(propagate, "_EIGH_PRODUCTS_PER_DIM", math.inf)
+        taylor = propagate._step_midpoint(ih, psi, 0.0, dt, 1.0)
+        assert len(calls) == 1
+        assert np.max(np.abs(switched - taylor)) <= 1e-12
 
     def test_no_eigh_in_steps_or_refinement(self, monkeypatch):
         # H(t) = (1 - tau) gap + tau gap = gap reaches orthogonality at pi
