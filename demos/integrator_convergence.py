@@ -2,8 +2,8 @@
 
 The midpoint-exponential stepper applies exp(-i H dt/hbar), with H taken at
 the step midpoint, as a Taylor series of matrix-vector products truncated at
-round-off; only a step too coarse for one Taylor substep, and costlier than
-an eigh, diagonalizes H instead. For a time-independent Hamiltonian that IS the
+round-off; only a step too coarse for one series of at most 20 terms
+diagonalizes H instead. For a time-independent Hamiltonian that IS the
 propagator (solved in closed form from one eigh), so the step error sits at
 round-off and the order probe reports "exact". On an interpolated
 Hamiltonian it is a second-order method that stays unitary per step to

@@ -210,10 +210,14 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignRe
     config_hash = _config_hash({"kind": "analytic-two-level",
                                 "integrator": asdict(cfg)})
 
-    reports = [run_time_independent(H, psi0, cfg, horizon=horizon,
-                                    provenance={"campaign": "analytic-two-level", "case": name,
-                                                "config_hash": config_hash})[0]
-               for name, H, psi0, horizon in cases]
+    def member(case):
+        name, H, psi0, horizon = case
+        return run_time_independent(
+            H, psi0, cfg, horizon=horizon,
+            provenance={"campaign": "analytic-two-level", "case": name,
+                        "config_hash": config_hash})[0]
+
+    reports = [member(case) for case in cases]
     return _collect("analytic-two-level", reports, config_hash)
 
 
@@ -363,8 +367,11 @@ def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
                               "half_time": _half_time(traj)}))
         return out
 
-    pairs = [pair for seed in seeds for pair in member(seed)]
-    reports, records = [p[0] for p in pairs], [p[1] for p in pairs]
+    reports, records = [], []
+    for seed in seeds:
+        for rep, rec in member(seed):
+            reports.append(rep)
+            records.append(rec)
     records.sort(key=lambda r: (r["seed"], r["variant"]))
 
     decayed = [r for r in records if r["half_time"] is not None]

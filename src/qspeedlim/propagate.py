@@ -23,13 +23,12 @@ truncated Taylor series of matrix-vector products (the action of the
 exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 The step bound rho = (dt/hbar)(|f| ||H_I||_1 + |g| ||H_P||_1 + |h| ||E||_1)
 is at least the 2-norm of the exponent, since H(t) is Hermitian. The step
-takes s = ceil(rho/theta_max) substeps of the smallest degree m whose
-theta_m covers rho/s, where theta_m bounds the series tail beyond degree m
-by unit round-off, so the step is exact to round-off like an eigh. Its cost,
-about s*m products, grows with rho, while an eigh step costs about 3*dim
-products at any rho (one BLAS thread: 2.7*dim at dim 64, 3.4*dim at 256), so
-a step with s > 1 and s*m > 3*dim is taken by one eigh of H(t + dt/2). The
-annealing runs at the default 2000 steps have rho <= 0.05: 5 to 8 products.
+uses the smallest degree m whose theta_m covers rho, where theta_m bounds the
+series tail beyond degree m by unit round-off, so the step is exact to
+round-off like an eigh. A step with rho > theta_20 (about 1.46), which one
+series would not cover, is taken by one eigh of H(t + dt/2), so a step costs
+at most 20 products or one eigh at any dt. The annealing runs at the default
+2000 steps have rho <= 0.05: 5 to 8 products.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
@@ -60,8 +59,6 @@ FLOAT_FLOOR = 1e-7
 # theta_m for Taylor degrees m = 1..20: for rho <= theta_m the series tail
 # beyond degree m, at most 2 rho^(m+1)/(m+1)!, stays below 2**-53
 _THETA = [(2.0**-54 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 21)]
-
-_EIGH_PRODUCTS_PER_DIM = 3  # an eigh step costs about 3*dim Taylor products
 
 _CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the trajectory
 
@@ -207,7 +204,7 @@ def _step_bounds(h: InterpolatedHamiltonian, mids, dt: float, hbar: float) -> np
 
 def _step_midpoint(h, psi, t, dt, hbar, rho=None):
     """One unitary step exp(-i H(t + dt/2) dt / hbar) |psi> as a truncated
-    Taylor series, or by eigh when that series costs more; rho bounds
+    Taylor series, or by eigh when rho is past the series table; rho bounds
     ||H(t + dt/2)||_1 dt/hbar and is taken from the matrix when not given."""
     M = _matrix_at(h, t + dt / 2.0)
     if rho is None:
@@ -215,17 +212,13 @@ def _step_midpoint(h, psi, t, dt, hbar, rho=None):
     if not rho < math.inf:  # NaN fails this test too
         raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho} at t = {t:.9g} is not "
                                f"finite", time=float(t))
-    substeps = max(1, math.ceil(rho / _THETA[-1]))
-    degree = 1 + bisect.bisect_left(_THETA, rho / substeps)
-    if substeps > 1 and substeps * degree > _EIGH_PRODUCTS_PER_DIM * len(psi):
+    if rho > _THETA[-1]:
         w, V = np.linalg.eigh(M)
         return V @ (np.exp(-1j * w * dt / hbar) * (V.conj().T @ psi))
-    scale = -1j * dt / (hbar * substeps)
-    for _ in range(substeps):
-        term = psi
-        for j in range(1, degree + 1):
-            term = (M @ term) * (scale / j)
-            psi = psi + term
+    scale, term = -1j * dt / hbar, psi
+    for j in range(1, 2 + bisect.bisect_left(_THETA, rho)):
+        term = (M @ term) * (scale / j)
+        psi = psi + term
     return psi
 
 
@@ -308,7 +301,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
             residual_base += np.outer([s.h(x) for x in tau], h.extra.entries @ phi0)
     else:
         residual_base = (h.entries @ phi0)[None, :]
-    # a huge beta overflows these to inf, which the distance check below reports
+    # a huge beta or H overflows these to inf or NaN, which the finiteness check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         integrands = {label: np.linalg.norm(residual_base - bvals[:, None] * phi0[None, :], axis=1)
                       for label, bvals in beta_grids.items()}
@@ -354,6 +347,10 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
             t = times[bad[0]]
             raise IntegrationError(f"beta policy {label!r}: distance not finite at t = {t:.9g} "
                                    f"(phase integral {beta_accum[label][bad[0]]:.6g})", time=t)
+        if not math.isfinite(integrand_max[label]):
+            t = times[np.flatnonzero(~np.isfinite(integrands[label]))[0]]
+            raise IntegrationError(f"beta policy {label!r}: integrand ||(H - beta) phi0|| not "
+                                   f"finite at t = {t:.9g}", time=t)
 
     if states is not None:
         states.setflags(write=False)

@@ -266,8 +266,8 @@ class TestQac:
         assert "error" in capsys.readouterr().err
 
     def test_astronomical_T_returns_promptly(self, tmp_path):
-        # a step bound of ~1e300 would take ~1e300 Taylor substeps; each step
-        # is one eigh instead
+        # a step bound of ~1e300 is past what one Taylor series covers, so
+        # each step is one eigh
         path = tmp_path / "chain3.json"
         path.write_text(json.dumps({"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]],
                                     "fields": [[0, 0.25], [2, -0.5]]}))
@@ -308,17 +308,19 @@ class TestDecay:
         assert "distance_const0.3" in header
         assert "distance_opt" not in header
 
-    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "1e308", "1e200"])
     def test_non_finite_or_overflowing_beta_is_input_error(self, tmp_path, capsys, beta):
-        # 1e308 is finite, but its phase integral overflows; none of these is a violation
+        # 1e308 is finite, but its phase integral overflows, and 1e200 overflows
+        # the norm of (H - beta) phi0; none of these is a violation
         rc = main(["decay", "--two-level", f"--beta={beta}", "--out", str(tmp_path), *FAST])
         assert rc == 2
         captured = capsys.readouterr()
         assert "violating report" not in captured.out
         assert "beta" in captured.err
 
-    def test_overflowing_beta_prints_only_the_error(self, tmp_path):
-        proc = run_cli_process(["decay", "--two-level", "--beta", "1e308",
+    @pytest.mark.parametrize("beta", ["1e308", "1e200"])
+    def test_overflowing_beta_prints_only_the_error(self, tmp_path, beta):
+        proc = run_cli_process(["decay", "--two-level", "--beta", beta,
                                 "--out", str(tmp_path), *FAST])
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1

@@ -337,8 +337,6 @@ def _taylor_cases():
     cases += [(f"chain3-T{T:g}", _annealer(chain3, T), 2000, 1.0) for T in (1.0, 4.0, 16.0)]
     return cases + [
         ("chain6-T16", _annealer(_chain(6), 16.0), 2000, 1.0),
-        # rho up to 5.3: 4 substeps and at most 80 products a step, below an eigh's 3 * 64
-        ("chain6-coarse-taylor", _annealer(_chain(6), 16.0), 18, 1.0),
         ("chain3-poly2.5", _annealer(chain3, 4.0, Schedule.polynomial(2.5)), 2000, 1.0),
         ("chain3-tabulated", _annealer(chain3, 4.0, tabulated), 2000, 1.0),
         ("chain3-extra-term", _annealer(chain3, 4.0, bump, extra=random_hermitian(8, 5)),
@@ -376,22 +374,20 @@ class TestTaylorStepAgainstEigh:
         assert [g.triggered for g in got] == [w.triggered for w in want]
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_eigh_switch_matches_taylor(self, n, monkeypatch):
-        # the shortest step on a fine grid that is taken by eigh, against the
-        # Taylor action the switch skips
-        ih = _annealer(_chain(n), 16.0)
-        psi = StateVector.uniform(ih.dim).amplitudes
+    def test_eigh_step_matches_two_taylor_halves(self, n, monkeypatch):
+        # under a fixed H one step of dt is two of dt/2; with rho just past
+        # theta_20 the whole step is one eigh and each half one Taylor series
+        H = HermitianOperator(_annealer(_chain(n), 16.0).matrix(8.0))
+        psi = StateVector.uniform(H.dim).amplitudes
+        dt = 1.01 * propagate._THETA[-1] / np.linalg.norm(H.entries, 1)
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-        for dt in np.geomspace(0.05, 20.0, 400):
-            switched = propagate._step_midpoint(ih, psi, 0.0, dt, 1.0)
-            if calls:
-                break
-        assert calls and dt > 0.05
-        monkeypatch.setattr(propagate, "_EIGH_PRODUCTS_PER_DIM", math.inf)
-        taylor = propagate._step_midpoint(ih, psi, 0.0, dt, 1.0)
+        whole = propagate._step_midpoint(H, psi, 0.0, dt, 1.0)
         assert len(calls) == 1
-        assert np.max(np.abs(switched - taylor)) <= 1e-12
+        half = propagate._step_midpoint(H, psi, 0.0, dt / 2.0, 1.0)
+        halves = propagate._step_midpoint(H, half, dt / 2.0, dt / 2.0, 1.0)
+        assert len(calls) == 1
+        assert np.max(np.abs(whole - halves)) <= 1e-12
 
     def test_no_eigh_in_steps_or_refinement(self, monkeypatch):
         # H(t) = (1 - tau) gap + tau gap = gap reaches orthogonality at pi
@@ -495,6 +491,14 @@ class TestInputValidation:
             evolve(two_level_gap(), PLUS, horizon=4.0, cfg=IntegratorConfig(steps=100),
                    betas=[BetaPolicy.zero(), BetaPolicy.constant(1e308)])
         assert info.value.time == pytest.approx(0.04)
+
+    def test_overflowing_integrand_raises_integration_error(self):
+        # beta = 1e200 keeps its phase integral finite, but the norm of
+        # (H - beta) phi0 squares it past the float range
+        with pytest.raises(IntegrationError, match="integrand") as info:
+            evolve(two_level_gap(), PLUS, horizon=4.0, cfg=IntegratorConfig(steps=100),
+                   betas=[BetaPolicy.zero(), BetaPolicy.constant(1e200)])
+        assert info.value.time == 0.0
 
     def test_overflowing_step_bound_raises_integration_error(self):
         # dt/hbar overflows to inf: the step bound is not finite
