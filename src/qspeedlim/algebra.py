@@ -132,10 +132,15 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def overlap_distance(o):
+    """sqrt(2 - 2 Re o) with the square clipped to [0, 4], elementwise: the norm
+    distance || |a> - |b> || of two unit vectors whose overlap <a|b> is o."""
+    return np.sqrt(np.clip(2.0 - 2.0 * np.real(o), 0.0, 4.0))
+
+
 def distance(a: StateVector, b: StateVector) -> float:
     """Norm distance || |a> - |b> || = sqrt(2 - 2 Re<a|b>), in [0, 2]."""
-    d_sq = 2.0 - 2.0 * inner_product(a, b).real
-    return float(np.sqrt(min(max(d_sq, 0.0), 4.0)))
+    return float(overlap_distance(inner_product(a, b)))
 
 
 def expectation(op: HermitianOperator, s: StateVector) -> float:

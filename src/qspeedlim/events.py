@@ -4,10 +4,9 @@ reach (distance 2 under the zero reference phase).
 
 Both events minimize a nonnegative functional of the overlap, so detection is
 a grid scan for local minima below a coarse threshold followed by
-golden-section refinement at off-grid times. A closed-form trajectory (fixed H)
-sums its spectrum there, sum_j |c_j|^2 exp(+i w_j t/hbar), in O(dim) with no eigh;
-a step-loop trajectory takes one midpoint-exponential step shorter than dt
-from the nearest recorded grid state. The reported bracket stops shrinking once round-off can steer the search,
+golden-section refinement at off-grid times, where Trajectory.overlap_at gives
+the overlap (a spectral sum, or one short step from a recorded grid state).
+The reported bracket stops shrinking once round-off can steer the search,
 so a flat minimum reports the bracket it is known to lie in.
 """
 
@@ -19,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagate import Trajectory, _step_midpoint
+from .algebra import overlap_distance
+from .propagate import Trajectory
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -90,29 +90,17 @@ def _golden_min(f, a, b, max_iter, width_goal, noise=0.0):
     return d, fd, width, widths
 
 
-def _overlap_at(traj: Trajectory, h, t: float) -> complex:
-    """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
-    trajectory, or one midpoint-exponential step from the nearest earlier
-    recorded state (unitary, so safe whatever produced the trajectory)."""
-    if traj.spectrum is not None:
-        w, _, c = traj.spectrum
-        return np.vdot(np.exp(t * ((-1j / traj.hbar) * w)) * c, c)
-    k = min(int(t / traj.dt), len(traj.times) - 1)
-    tk = traj.times[k]
-    psi = traj.states[k]
-    if t > tk + 1e-15:
-        psi = _step_midpoint(h, psi, tk, t - tk, traj.hbar)
-    return np.vdot(psi, traj.initial_state.amplitudes)
-
-
-def _scan_and_refine(traj: Trajectory, h, q: EventQuery, functional):
-    if traj.states is None and traj.spectrum is None:
+def _scan_and_refine(traj: Trajectory, h, q: EventQuery | None, kind: str, functional):
+    q = q if q is not None else EventQuery(kind=kind)
+    if q.kind != kind:
+        raise ValueError(f"query kind {q.kind!r} does not match first_{kind}")
+    if not traj.resolves_off_grid:
         raise ValueError("event detection needs recorded states or a closed-form spectrum")
     samples = functional(traj.overlaps)
     n = len(samples) - 1
 
     def f_at(t):
-        return float(functional(_overlap_at(traj, h, t)))
+        return float(functional(traj.overlap_at(h, t)))
 
     threshold = max(q.coarse_threshold, q.tolerance)
     width_goal = traj.horizon * 1e-9
@@ -153,22 +141,12 @@ def _scan_and_refine(traj: Trajectory, h, q: EventQuery, functional):
 def first_orthogonal(traj: Trajectory, h, q: EventQuery | None = None) -> EventResult:
     """First time |<psi(t)|phi0>| falls to the tolerance, or the achieved
     minimum if it never does. Phase-invariant, so no beta policy enters."""
-    q = q if q is not None else EventQuery(kind="orthogonal")
-    if q.kind != "orthogonal":
-        raise ValueError(f"query kind {q.kind!r} does not match first_orthogonal")
-    return _scan_and_refine(traj, h, q, np.abs)
+    return _scan_and_refine(traj, h, q, "orthogonal", np.abs)
 
 
 def first_antipodal(traj: Trajectory, h, q: EventQuery | None = None) -> EventResult:
     """First time the zero-phase distance d(t, 0) reaches 2 (functional
     2 - d), or the supremum-distance record if it never does."""
-    q = q if q is not None else EventQuery(kind="antipodal")
-    if q.kind != "antipodal":
-        raise ValueError(f"query kind {q.kind!r} does not match first_antipodal")
     if "zero" not in traj.distances:
         raise ValueError("antipodal detection needs the trajectory to carry the zero beta policy")
-
-    def functional(o):
-        return 2.0 - np.sqrt(np.clip(2.0 - 2.0 * np.real(o), 0.0, 4.0))
-
-    return _scan_and_refine(traj, h, q, functional)
+    return _scan_and_refine(traj, h, q, "antipodal", lambda o: 2.0 - overlap_distance(o))

@@ -1,18 +1,18 @@
 """Hamiltonian builders: transverse-field starters, diagonal Ising problems,
-random Gaussian-ensemble draws, and schedule-interpolated combinations."""
+random Gaussian-ensemble draws, and schedule-interpolated combinations, whose
+terms(t) is the one place H(t) is assembled from its schedule envelopes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import operator
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from .algebra import DIM_CAP, HermitianOperator, is_number, read_json
 from .schedules import Schedule
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 
 
 def _check_qubit_count(n: int) -> int:
@@ -31,9 +31,10 @@ def transverse_initial(n: int) -> HermitianOperator:
     """
     dim = _check_qubit_count(n)
     H = np.zeros((dim, dim), dtype=complex)
-    site = (_I2 - _SX) / 2.0
-    for i in range(n):
-        H += np.kron(np.kron(np.eye(2**i), site), np.eye(2 ** (n - 1 - i)))
+    idx = np.arange(dim)
+    H[idx, idx] = n / 2.0
+    for q in range(n):  # -sigma_x^q / 2 couples each basis state to its flip of bit q
+        H[idx, idx ^ (1 << q)] = -0.5
     return HermitianOperator(H)
 
 
@@ -168,15 +169,22 @@ class InterpolatedHamiltonian:
     def dim(self) -> int:
         return self.initial.dim
 
+    def terms(self, t) -> list:
+        """(envelope, operator) pairs with H(t) = sum of envelope * operator at t/T
+        clamped to [0, 1]; t is a time or an array of times, each envelope has
+        its shape. Callers add the weighted terms in place, from the first."""
+        tau = t / self.total_time
+        tau = np.clip(tau, 0.0, 1.0) if isinstance(tau, np.ndarray) else min(max(tau, 0.0), 1.0)
+        pairs = [(self.schedule.f(tau), self.initial), (self.schedule.g(tau), self.problem)]
+        if self.extra is not None:  # the envelope is a caller's scalar function
+            pairs.append((np.vectorize(self.schedule.h, otypes=[float])(tau), self.extra))
+        return pairs
+
     def matrix(self, t: float) -> np.ndarray:
         """Raw ndarray at time t; cheaper than `evaluate` inside integrators."""
         if t < -1e-12 * self.total_time or t > self.total_time * (1 + 1e-12):
             raise ValueError(f"t = {t} outside [0, {self.total_time}]")
-        tau = min(max(t / self.total_time, 0.0), 1.0)
-        M = self.schedule.f(tau) * self.initial.entries + self.schedule.g(tau) * self.problem.entries
-        if self.extra is not None:
-            M = M + self.schedule.h(tau) * self.extra.entries
-        return M
+        return functools.reduce(operator.iadd, (e * op.entries for e, op in self.terms(t)))
 
     def evaluate(self, t: float) -> HermitianOperator:
         return HermitianOperator(self.matrix(t))

@@ -6,7 +6,7 @@ and for each reference-phase policy beta(t) the Hilbert-space distance
 
     d(t, beta) = sqrt(2 - 2 Re(exp(-i/hbar * int_0^t beta) <psi(t)|phi0>))
 
-together with the accumulated right-hand-side integral
+(the map is algebra.overlap_distance) and the right-hand-side integral
 
     int_0^t ||(H(tau) - beta(tau)) |phi0>|| dtau.
 
@@ -16,19 +16,20 @@ never integrated separately; its effect is the scalar phase above.
 A fixed H = V diag(w) V^dagger under midpoint-exponential is solved in closed
 form from one eigh: with c = V^dagger phi0, <psi(t)|phi0> = sum_j |c_j|^2
 exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. An
-interpolated H(t), and every rk4 run, walk the step grid.
+interpolated H(t), and every rk4 run, walk the step grid. Trajectory.overlap_at
+gives the overlap off the grid: the spectral sum, or one step from a state.
 
 A midpoint-exponential step applies exp(-i H(t + dt/2) dt/hbar) to psi as a
 truncated Taylor series of matrix-vector products (the action of the
-exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-The step bound rho = (dt/hbar)(|f| ||H_I||_1 + |g| ||H_P||_1 + |h| ||E||_1)
-is at least the 2-norm of the exponent, since H(t) is Hermitian. The step
-uses the smallest degree m whose theta_m covers rho, where theta_m bounds the
-series tail beyond degree m by unit round-off, so the step is exact to
-round-off like an eigh. A step with rho > theta_20 (about 1.46), which one
-series would not cover, is taken by one eigh of H(t + dt/2), so a step costs
-at most 20 products or one eigh at any dt. The annealing runs at the default
-2000 steps have rho <= 0.05: 5 to 8 products.
+exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). Its
+bound rho, dt/hbar times the sum of |envelope| ||operator||_1 over
+InterpolatedHamiltonian.terms, is at least the 2-norm of the exponent, since
+H(t) is Hermitian. The step uses the smallest degree m whose theta_m covers
+rho, where theta_m bounds the series tail beyond degree m by unit round-off,
+so the step is exact to round-off like an eigh. A step with rho > theta_20
+(about 1.46), which one series would not cover, is taken by one eigh of
+H(t + dt/2), so a step costs at most 20 products or one eigh at any dt. The
+annealing runs at the default 2000 steps have rho <= 0.05: 5 to 8 products.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
@@ -37,15 +38,17 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import HermitianOperator, StateVector, is_number
+from .algebra import StateVector, is_number, overlap_distance
 from .hamiltonians import InterpolatedHamiltonian
 
 DEFAULT_STEPS = 2000
@@ -177,6 +180,25 @@ class Trajectory:
         """Check allowance for one policy: 10*dt*(max integrand) + hbar*float_floor."""
         return 10.0 * self.dt * self.integrand_max[label] + self.hbar * self.float_floor
 
+    @property
+    def resolves_off_grid(self) -> bool:
+        """Whether overlap_at can serve: recorded states or a closed-form spectrum."""
+        return self.states is not None or self.spectrum is not None
+
+    def overlap_at(self, h, t: float) -> complex:
+        """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
+        trajectory, or one midpoint-exponential step from the nearest earlier
+        recorded state (unitary, so safe whatever produced the trajectory)."""
+        if self.spectrum is not None:
+            w, _, c = self.spectrum
+            return np.vdot(np.exp(t * ((-1j / self.hbar) * w)) * c, c)
+        k = min(int(t / self.dt), len(self.times) - 1)
+        tk = self.times[k]
+        psi = self.states[k]
+        if t > tk + 1e-15:
+            psi = _step_midpoint(h, psi, tk, t - tk, self.hbar)
+        return np.vdot(psi, self.initial_state.amplitudes)
+
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoid integral of samples spaced dt apart, starting at 0."""
@@ -193,13 +215,15 @@ def _matrix_at(h, t: float) -> np.ndarray:
 
 def _step_bounds(h: InterpolatedHamiltonian, mids, dt: float, hbar: float) -> np.ndarray:
     """rho at each step midpoint: (dt/hbar) times a bound on ||H(mid)||_1."""
-    tau = np.clip(mids / h.total_time, 0.0, 1.0)
-    s = h.schedule
-    total = (np.abs(s.f(tau)) * np.linalg.norm(h.initial.entries, 1)
-             + np.abs(s.g(tau)) * np.linalg.norm(h.problem.entries, 1))
-    if h.extra is not None:  # the envelope is a caller's scalar function
-        total = total + np.abs([s.h(x) for x in tau]) * np.linalg.norm(h.extra.entries, 1)
-    return (dt / hbar) * total
+    bounds = (np.abs(e) * np.linalg.norm(op.entries, 1) for e, op in h.terms(mids))
+    return (dt / hbar) * functools.reduce(operator.iadd, bounds)
+
+
+def _check_phase(phase: float, horizon: float) -> None:
+    """Reject a phase past FLOAT_FLOOR * 2**52, where its rounding alone exceeds FLOAT_FLOOR."""
+    if phase > FLOAT_FLOOR * 2.0**52:
+        raise IntegrationError(f"largest phase {phase:.6g} has no significant digit at the float "
+                               f"floor {FLOAT_FLOOR:g}; shorten the horizon", time=float(horizon))
 
 
 def _step_midpoint(h, psi, t, dt, hbar, rho=None):
@@ -242,6 +266,7 @@ def _closed_form(H, phi0, times, cfg):
     grid, built in place. Returns the spectrum (w, V, c), the overlaps
     conj(z_k . conj(c)), the final state V z_N and the largest |z_k| - 1."""
     w, V = np.linalg.eigh(H)
+    _check_phase(float(times[-1]) * float(np.max(np.abs(w))) / cfg.hbar, times[-1])
     c = V.conj().T @ phi0
     z = np.outer(times, (-1j / cfg.hbar) * w)
     np.exp(z, out=z)
@@ -286,19 +311,13 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
 
     # normalize exactly once; this vector is the reference phi0 throughout
     phi0 = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
-    start = StateVector(phi0)
 
     beta_grids = {p.label: p.values(times, h) for p in betas}
 
     # integrand ||(H(t_k) - beta_k) phi0|| on the step grid
-    if interp:
-        # H(t_k) phi0 = f_k H_I phi0 + g_k H_P phi0 (+ h_k E phi0)
-        tau = np.clip(times / h.total_time, 0.0, 1.0)
-        s = h.schedule
-        residual_base = (np.outer(s.f(tau), h.initial.entries @ phi0)
-                         + np.outer(s.g(tau), h.problem.entries @ phi0))
-        if h.extra is not None:
-            residual_base += np.outer([s.h(x) for x in tau], h.extra.entries @ phi0)
+    if interp:  # H(t_k) phi0, a sum over the terms of envelope(t_k) * (operator phi0)
+        rows = (np.outer(e, op.entries @ phi0) for e, op in h.terms(times))
+        residual_base = functools.reduce(operator.iadd, rows)
     else:
         residual_base = (h.entries @ phi0)[None, :]
     # a huge beta or H overflows these to inf or NaN, which the finiteness check below reports
@@ -315,6 +334,8 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     else:
         if cfg.method == "midpoint-exponential":
             rho = _step_bounds(h, times[:-1] + dt / 2.0, dt, hbar)
+            if np.isfinite(rho).all():  # a non-finite rho fails at its own step, naming the time
+                _check_phase(float(np.sum(rho)), horizon)
             step = lambda k, psi: _step_midpoint(h, psi, times[k], dt, hbar, rho[k])
         else:
             step = lambda k, psi: _step_rk4(h, psi, times[k], dt, hbar)
@@ -341,7 +362,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     for label in labels:
         with np.errstate(invalid="ignore"):
             phased = np.exp(-1j * beta_accum[label] / hbar) * overlaps
-        distances[label] = np.sqrt(np.clip(2.0 - 2.0 * phased.real, 0.0, 4.0))
+        distances[label] = overlap_distance(phased)
         bad = np.flatnonzero(~np.isfinite(distances[label]))  # not a bound violation
         if bad.size:
             t = times[bad[0]]
@@ -361,7 +382,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         distances=distances,
         rhs_integrals=rhs_integrals,
         integrand_max=integrand_max,
-        initial_state=start,
+        initial_state=StateVector(phi0),
         final_state=StateVector(psi / np.linalg.norm(psi)),
         states=states,
         spectrum=spectrum,
@@ -372,19 +393,14 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     )
 
 
+@dataclass(frozen=True)
 class ConvergenceResult:
     """Empirical order measurement; `exact` means every probe error sat at
     round-off level so no order is measurable."""
 
-    def __init__(self, order, exact, errors):
-        self.order = order
-        self.exact = exact
-        self.errors = tuple(errors)
-
-    def __repr__(self):
-        if self.exact:
-            return f"ConvergenceResult(exact, errors={self.errors})"
-        return f"ConvergenceResult(order={self.order:.3f}, errors={self.errors})"
+    order: float
+    exact: bool
+    errors: tuple
 
 
 def convergence_order(h, psi0, horizon, cfg: IntegratorConfig | None = None) -> ConvergenceResult:
@@ -400,7 +416,7 @@ def convergence_order(h, psi0, horizon, cfg: IntegratorConfig | None = None) -> 
         return evolve(h, psi0, horizon, cfg=sub, betas=[BetaPolicy.zero()]).final_state
 
     ref = final_state(16).amplitudes
-    errors = [float(np.linalg.norm(final_state(m).amplitudes - ref)) for m in (1, 2, 4)]
+    errors = tuple(float(np.linalg.norm(final_state(m).amplitudes - ref)) for m in (1, 2, 4))
     if max(errors) < 1e-12:
         return ConvergenceResult(order=math.inf, exact=True, errors=errors)
     ratios = [math.log2(a / b) for a, b in zip(errors, errors[1:]) if b != 0.0]

@@ -25,6 +25,7 @@ from qspeedlim.hamiltonians import (
     random_hermitian,
 )
 from qspeedlim.propagate import IntegratorConfig, evolve
+from qspeedlim.schedules import Schedule
 
 FAST = IntegratorConfig(steps=400)
 
@@ -194,6 +195,12 @@ class TestQacCampaign:
         wrong = HermitianOperator(np.zeros((4, 4), dtype=complex))
         with pytest.raises(ValueError, match="dimension"):
             run_qac(instance, initial_term=wrong, integrator=FAST)
+
+    def test_schedule_with_extra_envelope_rejected(self):
+        instance = IsingInstance(n=1, couplings=(), fields=((0, 1.0),))
+        bump = Schedule.linear(h=lambda tau: tau * (1.0 - tau))
+        with pytest.raises(ValueError, match="no extra operator for the schedule's extra-term"):
+            run_qac(instance, sched=bump, integrator=FAST)
 
     def test_empty_interpolation_times_rejected(self):
         instance = IsingInstance(n=1, couplings=(), fields=((0, 1.0),))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qspeedlim import campaigns, cli
 from qspeedlim.bounds import BoundReport, CharacteristicTimes, Margin, MomentPair
 from qspeedlim.campaigns import CampaignResult
 from qspeedlim.cli import (
@@ -46,6 +48,13 @@ FUZZ_VALUES = st.one_of(
 def run_main(argv, capsys=None):
     rc = main(argv)
     return rc
+
+
+def with_forced_violation(report):
+    """report with a failing margin appended; the bounds cannot fail
+    honestly, so the exit-1 paths are reached this way."""
+    forced = Margin(name="forced", lhs=2.0, rhs=1.0, slack=0.0)
+    return dataclasses.replace(report, margins=(*report.margins, forced))
 
 
 def run_cli_process(argv, **kwargs):
@@ -222,6 +231,14 @@ class TestEnsemble:
                   "--out", str(tmp_path), "--steps", "300"])
         assert err.value.code == 2
 
+    def test_astronomical_horizon_is_input_error(self, tmp_path, capsys):
+        # phases of ~1e300 carry no significant digits, so no bound is checked
+        rc = main(["ensemble", "--dim", "8", "--seeds", "0..2", "--horizon-mult", "1e300",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "integration failed at t = " in err and "largest phase" in err
+
 
 class TestQac:
     @pytest.fixture
@@ -266,14 +283,15 @@ class TestQac:
         assert "error" in capsys.readouterr().err
 
     def test_astronomical_T_returns_promptly(self, tmp_path):
-        # a step bound of ~1e300 is past what one Taylor series covers, so
-        # each step is one eigh
+        # phases of ~1e300 carry no significant digits, so the run is
+        # rejected before its first step
         path = tmp_path / "chain3.json"
         path.write_text(json.dumps({"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]],
                                     "fields": [[0, 0.25], [2, -0.5]]}))
         proc = run_cli_process(["qac", "--instance", str(path), "--T", "1e300",
                                 "--out", str(tmp_path / "o")], timeout=10)
-        assert proc.returncode in (0, 2), proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        assert "largest phase" in proc.stderr
         assert "Warning" not in proc.stderr
 
 
@@ -341,6 +359,26 @@ class TestDecay:
         assert rc == 2
         assert "--two-level or --dim" in capsys.readouterr().err
 
+    def test_dt_sets_the_row_count(self, tmp_path):
+        # default horizon 4 t_orth = 8 sqrt(2) ~ 11.31 in ceil(1131.4) = 1132 steps of dt
+        assert main(["decay", "--two-level", "--dt", "0.01", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "decay.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1133
+        assert float(rows[-1].split(",")[0]) == pytest.approx(8.0 * math.sqrt(2.0))
+
+    def test_violating_report_exits_1(self, tmp_path, capsys, monkeypatch):
+        run_time_independent = cli.run_time_independent
+
+        def run(*args, **kwargs):
+            report, traj = run_time_independent(*args, **kwargs)
+            return with_forced_violation(report), traj
+        monkeypatch.setattr(cli, "run_time_independent", run)
+        rc = main(["decay", "--two-level", "--out", str(tmp_path), *FAST])
+        assert rc == 1
+        assert "violating report:" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [m["name"] for m in report["margins"] if not m["satisfied"]] == ["forced"]
+
     def test_horizon_override(self, tmp_path):
         rc = main(["decay", "--two-level", "--horizon", "1.0",
                    "--out", str(tmp_path), *FAST])
@@ -407,6 +445,20 @@ class TestViolationPath:
         out = capsys.readouterr().out
         assert "violating reports" in out
         assert "report-0000.json" in out
+
+    def test_forced_violations_reach_summary_and_report(self, tmp_path, capsys, monkeypatch):
+        check = campaigns.check_inequalities
+        monkeypatch.setattr(campaigns, "check_inequalities",
+                            lambda *args, **kwargs: with_forced_violation(check(*args, **kwargs)))
+        assert main(["verify", "--out", str(tmp_path), *FAST]) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_violations"] == 4
+        assert [v["margin"] for v in summary["violations"]] == ["forced"] * 4
+        assert all(v["lhs"] == 2.0 and v["rhs"] == 1.0 for v in summary["violations"])
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if line.startswith("violation: ")]) == 4
 
 
 class TestOutputDirResolution:

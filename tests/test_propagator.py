@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspeedlim import cli, events, propagate
+from qspeedlim import cli, propagate
 from qspeedlim.algebra import (
     HermitianOperator,
     StateVector,
@@ -368,7 +368,7 @@ class TestTaylorStepAgainstEigh:
 
         got = [detect(traj, ih) for detect in (first_orthogonal, first_antipodal)]
         # the oracle refines from its own grid states with its own step
-        monkeypatch.setattr(events, "_step_midpoint", eigh_step)
+        monkeypatch.setattr(propagate, "_step_midpoint", eigh_step)
         looped = dataclasses.replace(traj, overlaps=overlaps, states=states)
         want = [detect(looped, ih) for detect in (first_orthogonal, first_antipodal)]
         assert [g.triggered for g in got] == [w.triggered for w in want]
@@ -509,6 +509,24 @@ class TestInputValidation:
     def test_default_steps(self):
         traj = evolve(two_level_gap(), PLUS, horizon=4.0)
         assert len(traj.times) == 2001
+
+    def test_dt_sets_the_step_count(self):
+        # ceil(4 / 0.3) = 14 steps of 4/14, so the grid still ends at the horizon
+        traj = evolve(two_level_gap(), PLUS, horizon=4.0, cfg=IntegratorConfig(dt=0.3))
+        assert len(traj.times) == 15
+        assert traj.times[-1] == 4.0
+
+    @pytest.mark.parametrize("kind", ["fixed", "interpolated"])
+    def test_phase_past_the_float_floor_raises_integration_error(self, kind):
+        # the largest phase is horizon * max|w| / hbar for a fixed H and the
+        # sum of the step bounds for H(t); past FLOAT_FLOOR * 2**52 its
+        # rounding alone exceeds the float floor
+        h = two_level_gap() if kind == "fixed" else projector_annealer(T=1e9)
+        cap = propagate.FLOAT_FLOOR * 2.0**52
+        evolve(h, PLUS, horizon=0.9 * cap, cfg=IntegratorConfig(steps=10))
+        with pytest.raises(IntegrationError, match="largest phase") as info:
+            evolve(h, PLUS, horizon=1e9, cfg=IntegratorConfig(steps=10))
+        assert info.value.time == 1e9
 
 
 class TestAnnealingRun:
