@@ -11,13 +11,16 @@ and for each reference-phase policy beta(t) the Hilbert-space distance
     int_0^t ||(H(tau) - beta(tau)) |phi0>|| dtau.
 
 The two integrals are trapezoid sums on the step grid. The reference state is
-never integrated separately; its effect is the scalar phase above.
+never integrated separately; its effect is the scalar phase above. Under a
+fixed H every beta is constant, so the integrand is one norm per policy,
+broadcast over the grid.
 
 A fixed H = V diag(w) V^dagger under midpoint-exponential is solved in closed
 form from one eigh: with c = V^dagger phi0, <psi(t)|phi0> = sum_j |c_j|^2
 exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. An
 interpolated H(t), and every rk4 run, walk the step grid. Trajectory.overlap_at
-gives the overlap off the grid: the spectral sum, or one step from a state.
+gives the overlap off the grid: the spectral sum, whose exponent (-i/hbar) w is
+taken once per trajectory, or one step from a state.
 
 A midpoint-exponential step applies exp(-i H(t + dt/2) dt/hbar) to psi as a
 truncated Taylor series of matrix-vector products (the action of the
@@ -185,13 +188,18 @@ class Trajectory:
         """Whether overlap_at can serve: recorded states or a closed-form spectrum."""
         return self.states is not None or self.spectrum is not None
 
+    @functools.cached_property
+    def _spectral_exponent(self) -> np.ndarray:
+        """(-i/hbar) w of a closed-form trajectory, taken once for every overlap_at."""
+        return (-1j / self.hbar) * self.spectrum[0]
+
     def overlap_at(self, h, t: float) -> complex:
         """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
         trajectory, or one midpoint-exponential step from the nearest earlier
         recorded state (unitary, so safe whatever produced the trajectory)."""
         if self.spectrum is not None:
-            w, _, c = self.spectrum
-            return np.vdot(np.exp(t * ((-1j / self.hbar) * w)) * c, c)
+            c = self.spectrum[2]
+            return np.vdot(np.exp(t * self._spectral_exponent) * c, c)
         k = min(int(t / self.dt), len(self.times) - 1)
         tk = self.times[k]
         psi = self.states[k]
@@ -317,12 +325,13 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     # integrand ||(H(t_k) - beta_k) phi0|| on the step grid
     if interp:  # H(t_k) phi0, a sum over the terms of envelope(t_k) * (operator phi0)
         rows = (np.outer(e, op.entries @ phi0) for e, op in h.terms(times))
-        residual_base = functools.reduce(operator.iadd, rows)
-    else:
-        residual_base = (h.entries @ phi0)[None, :]
+        residual_base, grid = functools.reduce(operator.iadd, rows), slice(None)
+    else:  # H and every beta a fixed H admits are constant: one row serves the grid
+        residual_base, grid = (h.entries @ phi0)[None, :], slice(1)
     # a huge beta or H overflows these to inf or NaN, which the finiteness check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        integrands = {label: np.linalg.norm(residual_base - bvals[:, None] * phi0[None, :], axis=1)
+        integrands = {label: np.broadcast_to(np.linalg.norm(
+                          residual_base - bvals[grid, None] * phi0[None, :], axis=1), times.shape)
                       for label, bvals in beta_grids.items()}
         rhs_integrals = {label: cumulative_trapezoid(v, dt) for label, v in integrands.items()}
         beta_accum = {label: cumulative_trapezoid(v, dt) for label, v in beta_grids.items()}
@@ -345,7 +354,8 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         psi = phi0.copy()
         norm_max_dev = 0.0
         for k in range(nsteps + 1):
-            norm = np.linalg.norm(psi)
+            re, im = psi.real, psi.imag  # np.linalg.norm's arithmetic, without its wrapper
+            norm = math.sqrt(re.dot(re) + im.dot(im))
             dev = abs(norm - 1.0)
             if not dev <= cfg.norm_tolerance:  # NaN fails this test too
                 raise _norm_error(norm, times[k], cfg.norm_tolerance)

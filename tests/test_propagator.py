@@ -287,6 +287,46 @@ class TestClosedFormProperties:
             assert margin.satisfied, margin
 
 
+class TestFixedHamiltonianAgainstGrid:
+    """A fixed H's integrand is one norm per policy and its off-grid overlaps
+    share one exponent; the per-grid formulas they replace are the oracle."""
+
+    BETAS = [BetaPolicy.zero(), BetaPolicy.constant(0.7)]
+
+    def test_integrand_matches_grid_rows(self):
+        H = random_hermitian(8, 3)
+        traj = evolve(H, random_state(8, [3, 17]), 5.0, betas=self.BETAS)
+        phi0 = traj.initial_state.amplitudes
+        for policy in self.BETAS:
+            bvals = policy.values(traj.times, H)
+            rows = np.tile(H.entries @ phi0, (len(traj.times), 1)) - bvals[:, None] * phi0
+            integrand = np.linalg.norm(rows, axis=1)
+            assert np.array_equal(traj.rhs_integrals[policy.label],
+                                  propagate.cumulative_trapezoid(integrand, traj.dt))
+            assert traj.integrand_max[policy.label] == float(np.max(integrand))
+
+    def test_integrand_takes_no_grid_of_rows(self, monkeypatch):
+        norm = np.linalg.norm
+        shapes = []
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        evolve(random_hermitian(8, 5), random_state(8, [5, 17]), 3.0,
+               cfg=IntegratorConfig(steps=2000), betas=self.BETAS)
+        assert shapes and not [s for s in shapes if len(s) == 2 and s[0] > 1]
+
+    def test_overlap_at_matches_spectral_sum(self):
+        H = random_hermitian(8, 7)
+        traj = evolve(H, random_state(8, [7, 17]), 6.0)
+        w, _, c = traj.spectrum
+        for hbar, run in ((1.0, traj), (0.5, dataclasses.replace(traj, hbar=0.5))):
+            for t in np.linspace(0.0, traj.horizon, 50):
+                assert run.overlap_at(H, t) == np.vdot(np.exp(t * ((-1j / hbar) * w)) * c, c)
+
+
 def eigh_step(h, psi, t, dt, hbar):
     """The midpoint-exponential step that the Taylor action replaced: one
     eigh of H(t + dt/2) per step."""
@@ -410,6 +450,10 @@ class TestNormPreservation:
         assert traj.norm_max_dev <= 1e-12 * len(traj.times)
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(np.diff(norms))) <= 1e-12
+
+    def test_step_loop_norm_is_numpys(self):
+        traj = evolve(projector_annealer(T=10.0), StateVector.uniform(2), horizon=10.0)
+        assert traj.norm_max_dev == max(abs(np.linalg.norm(s) - 1.0) for s in traj.states)
 
     def test_rk4_within_tolerance_at_sane_step(self):
         traj = evolve(single_qubit_annealer(T=10.0), StateVector.uniform(2), horizon=10.0,
