@@ -100,7 +100,7 @@ def _clamped_square_bound(spread, elapsed, hbar: float) -> SurvivalBound:
     # np.square, not ** 2: a 0-d ** 2 calls pow(), an ulp off the array's square;
     # an overflow to inf reads as vacuous below
     with np.errstate(over="ignore"):
-        x = np.square(spread * elapsed) / (2.0 * hbar**2)
+        x = np.square(spread * elapsed / hbar) / 2.0
     # the eps pad keeps an exact touch of zero (x = 1 up to rounding) from
     # being misreported as vacuous
     return _elementwise(SurvivalBound, np.square(np.clip(1.0 - x, 0.0, None)), x > 1.0 + 1e-12)
@@ -121,7 +121,7 @@ def exp_decay_diagnostic(t, spread: float, energy: float, hbar: float) -> DecayD
     over an array of times. Diagnostic only: the underlying relation has no
     sharp constant, so this is never asserted as a hard bound."""
     t = _nonnegative_times(t)
-    value = np.exp(-((spread * t) ** 2) / hbar**2)
+    value = np.exp(-np.square(spread * t / hbar))
     regime_ok = t * math.hypot(spread, energy) <= 0.1 * hbar
     return _elementwise(DecayDiagnostic, value, regime_ok)
 

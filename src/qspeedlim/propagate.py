@@ -17,10 +17,13 @@ broadcast over the grid.
 
 A fixed H = V diag(w) V^dagger under midpoint-exponential is solved in closed
 form from one eigh: with c = V^dagger phi0, <psi(t)|phi0> = sum_j |c_j|^2
-exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. An
-interpolated H(t), and every rk4 run, walk the step grid. Trajectory.overlap_at
-gives the overlap off the grid: the spectral sum, whose exponent (-i/hbar) w is
-taken once per trajectory, or one step from a state.
+exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. On
+the grid t_k = (aK + b) dt, K = ceil(sqrt(steps + 1)), the phase is a coarse
+factor at t_aK times a fine one at t_b, so the grid's overlaps and norms are
+products of two phase tables of about K rows each. An interpolated H(t), and
+every rk4 run, walk the step grid. Trajectory.overlap_at gives the overlap off
+the grid: the spectral sum, whose exponent (-i/hbar) w is taken once per
+trajectory, or one step from a state.
 
 A midpoint-exponential step applies exp(-i H(t + dt/2) dt/hbar) to psi as a
 truncated Taylor series of matrix-vector products (the action of the
@@ -269,25 +272,30 @@ def _norm_error(norm, t, tolerance) -> IntegrationError:
 
 
 def _closed_form(H, phi0, times, cfg):
-    """Exact propagation under a fixed H = V diag(w) V^dagger: the eigenbasis
-    amplitudes z_k = exp(-i w t_k/hbar) * c, c = V^dagger phi0, of the whole
-    grid, built in place. Returns the spectrum (w, V, c), the overlaps
-    conj(z_k . conj(c)), the final state V z_N and the largest |z_k| - 1."""
+    """Exact propagation under a fixed H = V diag(w) V^dagger, c = V^dagger phi0.
+    Grid time t_k, k = aK + b, splits as t_aK + t_b, so the eigenbasis
+    amplitudes z_k = exp(-i w t_k/hbar) * c are coarse[a] * fine[b], and each
+    grid-wide sum over j is one product of the two tables; z itself, n x dim,
+    is never formed. Returns the spectrum (w, V, c), the overlaps
+    conj(z_k . conj(c)), the final state V z_N and the largest | |z_k| - 1 |."""
     w, V = np.linalg.eigh(H)
     _check_phase(float(times[-1]) * float(np.max(np.abs(w))) / cfg.hbar, times[-1])
     c = V.conj().T @ phi0
-    z = np.outer(times, (-1j / cfg.hbar) * w)
-    np.exp(z, out=z)
-    z *= c
-    # the real and imaginary views keep the row norms free of a z-sized temporary
-    norms = np.sqrt(np.einsum("ij,ij->i", z.real, z.real) + np.einsum("ij,ij->i", z.imag, z.imag))
+    n = len(times)
+    K = math.isqrt(n - 1) + 1
+    rate = (-1j / cfg.hbar) * w
+    coarse = np.exp(np.outer(times[::K], rate))
+    fine = np.exp(np.outer(times[:K], rate)) * c
+    overlaps = np.conj(coarse @ (fine * c.conj()).T).ravel()[:n]
+    norms = np.sqrt((np.abs(coarse) ** 2 @ (np.abs(fine) ** 2).T).ravel()[:n])
     devs = np.abs(norms - 1.0)
     bad = np.flatnonzero(~(devs <= cfg.norm_tolerance))  # NaN fails this test too
     if bad.size:
         raise _norm_error(norms[bad[0]], times[bad[0]], cfg.norm_tolerance)
-    for a in (w, V, c):
-        a.setflags(write=False)
-    return (w, V, c), np.conj(z @ c.conj()), V @ z[-1], float(devs.max())
+    for x in (w, V, c):
+        x.setflags(write=False)
+    a, b = divmod(n - 1, K)
+    return (w, V, c), overlaps, V @ (coarse[a] * fine[b]), float(devs.max())
 
 
 def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = None,

@@ -156,6 +156,15 @@ class TestSurvivalBounds:
             y = 1.0 - (0.5 * t) * (0.5 * t) / 2.0
             assert one.value == arr.value[k] == y * y
 
+    @pytest.mark.parametrize("hbar", [1e-300, 1e300])
+    def test_depends_on_time_over_hbar_only(self, hbar):
+        # hbar**2 underflows or overflows at these; the bound must not
+        scaled = np.array([0.0, 1.0, math.sqrt(2.0) / 0.5, 3.0, 10.0])
+        want = survival_lower_bound_ti(scaled, spread=0.5, hbar=1.0)
+        got = survival_lower_bound_ti(scaled * hbar, spread=0.5, hbar=hbar)
+        np.testing.assert_allclose(got.value, want.value, rtol=0.0, atol=1e-15)
+        assert list(got.vacuous) == list(want.vacuous)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             survival_lower_bound_ti(-1.0, spread=0.5, hbar=1.0)
@@ -204,6 +213,14 @@ class TestExpDecayDiagnostic:
         assert not exp_decay_diagnostic(edge * 1.001, spread, energy, 1.0).regime_ok
         arr = exp_decay_diagnostic(np.array([edge * 0.999, edge * 1.001]), spread, energy, 1.0)
         assert list(arr.regime_ok) == [True, False]
+
+    @pytest.mark.parametrize("hbar", [1e-300, 1e300])
+    def test_depends_on_time_over_hbar_only(self, hbar):
+        scaled = np.array([0.0, 0.05, 1.0, 3.0])
+        want = exp_decay_diagnostic(scaled, 1.0, 0.5, 1.0)
+        got = exp_decay_diagnostic(scaled * hbar, 1.0, 0.5, hbar)
+        np.testing.assert_allclose(got.value, want.value, rtol=0.0, atol=1e-15)
+        assert list(got.regime_ok) == list(want.regime_ok)
 
     def test_bound_below_diagnostic_in_regime(self):
         value, ok = exp_decay_diagnostic(0.05, spread=1.0, energy=0.0, hbar=1.0)

@@ -57,12 +57,17 @@ def with_forced_violation(report):
     return dataclasses.replace(report, margins=(*report.margins, forced))
 
 
-def run_cli_process(argv, **kwargs):
-    """The CLI in a fresh interpreter, with this checkout's sources first on the path."""
+def src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_cli_process(argv, **kwargs):
+    """The CLI in a fresh interpreter, with this checkout's sources first on the path."""
     return subprocess.run([sys.executable, "-m", "qspeedlim.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), **kwargs)
+                          text=True, env=src_env(), **kwargs)
 
 
 class TestArgumentParsing:
@@ -344,6 +349,14 @@ class TestDecay:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
+    def test_extreme_hbar_exits_cleanly(self, tmp_path, hbar):
+        # hbar**2 overflows or underflows at these; the survival floor is taken in t/hbar
+        proc = run_cli_process(["decay", "--two-level", "--hbar", hbar,
+                                "--out", str(tmp_path), *FAST])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
     def test_report_matches_the_ensemble_member(self, tmp_path):
         # decay and ensemble share one time-independent recipe
         assert main(["decay", "--dim", "8", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
@@ -482,7 +495,7 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-m", "qspeedlim.cli", "verify",
              "--out", str(tmp_path), "--steps", "400"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert "hbar" in proc.stdout
         assert (tmp_path / "summary.json").exists()
@@ -490,6 +503,7 @@ class TestConsoleScript:
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, qspeedlim.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

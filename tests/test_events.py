@@ -1,7 +1,9 @@
 import logging
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +89,10 @@ class TestOrthogonal:
                 "H = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))\n"
                 "psi0 = StateVector.normalized(np.array([math.sqrt(0.50025), math.sqrt(0.49975)]))\n"
                 "print(first_orthogonal(evolve(H, psi0, horizon=4.0), H).note is not None)\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
         assert proc.stderr == ""

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,75 @@ class TestFixedHamiltonianAgainstGrid:
         for hbar, run in ((1.0, traj), (0.5, dataclasses.replace(traj, hbar=0.5))):
             for t in np.linspace(0.0, traj.horizon, 50):
                 assert run.overlap_at(H, t) == np.vdot(np.exp(t * ((-1j / hbar) * w)) * c, c)
+
+
+def grid_closed_form(H, phi0, times, cfg):
+    """The closed form that the two phase tables replaced, kept as the oracle:
+    the eigenbasis amplitudes z_k = exp(-i w t_k/hbar) * c of the whole grid,
+    from one complex exp over the (steps+1) x dim grid."""
+    w, V = np.linalg.eigh(H)
+    propagate._check_phase(float(times[-1]) * float(np.max(np.abs(w))) / cfg.hbar, times[-1])
+    c = V.conj().T @ phi0
+    z = np.outer(times, (-1j / cfg.hbar) * w)
+    np.exp(z, out=z)
+    z *= c
+    norms = np.sqrt(np.einsum("ij,ij->i", z.real, z.real) + np.einsum("ij,ij->i", z.imag, z.imag))
+    devs = np.abs(norms - 1.0)
+    bad = np.flatnonzero(~(devs <= cfg.norm_tolerance))
+    if bad.size:
+        raise propagate._norm_error(norms[bad[0]], times[bad[0]], cfg.norm_tolerance)
+    return (w, V, c), np.conj(z @ c.conj()), V @ z[-1], float(devs.max())
+
+
+TABLE_STEPS = [1, 2, 3, 15, 16, 17, 2000, 2001]
+
+
+class TestPhaseTablesAgainstGrid:
+    """The closed form's coarse-times-fine phase tables against the grid-wide
+    exp they replaced. The step counts take steps = n - 1 as a perfect square
+    (1, 16), just past one (2, 17) and just before (3, 15), and row counts K
+    that do not divide n."""
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    @pytest.mark.parametrize("steps", TABLE_STEPS)
+    def test_matches_grid_exp(self, dim, steps):
+        H = random_hermitian(dim, dim + steps)
+        phi0 = random_state(dim, [dim, steps]).amplitudes
+        horizon = 4.0 * char_times_ti(state_moments(H, StateVector(phi0)), 1.0).t_orth
+        times = np.arange(steps + 1) * (horizon / steps)
+        cfg = IntegratorConfig(steps=steps)
+        spectrum, overlaps, final, dev = propagate._closed_form(H.entries, phi0, times, cfg)
+        _, want_overlaps, want_final, want_dev = grid_closed_form(H.entries, phi0, times, cfg)
+        assert overlaps.shape == want_overlaps.shape == times.shape
+        assert np.max(np.abs(overlaps - want_overlaps)) <= 1e-12
+        assert np.max(np.abs(final - want_final)) <= 1e-12
+        assert abs(dev - want_dev) <= 1e-15
+        assert len(spectrum) == 3 and spectrum[2].shape == (dim,)
+
+    @pytest.mark.parametrize("steps", [17, 2000, 2001])
+    def test_norm_check_fails_on_the_grid(self, steps):
+        # at dim 32 some row's norm is an ulp off 1, past a 1e-300 tolerance
+        H = random_hermitian(32, steps)
+        times = np.arange(steps + 1) * (3.0 / steps)
+        phi0 = random_state(32, [32, steps]).amplitudes
+        with pytest.raises(IntegrationError) as err:
+            propagate._closed_form(H.entries, phi0, times,
+                                   IntegratorConfig(steps=steps, norm_tolerance=1e-300))
+        assert err.value.time in times
+
+    def test_takes_no_grid_sized_array(self):
+        dim, steps = 64, 20000
+        H = random_hermitian(dim, 11)
+        psi0 = random_state(dim, [11, 17])
+        grid_bytes = (steps + 1) * dim * 16
+        tracemalloc.start()
+        try:
+            evolve(H, psi0, 50.0, cfg=IntegratorConfig(steps=steps),
+                   betas=[BetaPolicy.zero(), BetaPolicy.constant(0.3)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_bytes / 4, f"peak {peak} B against a {grid_bytes} B grid"
 
 
 def eigh_step(h, psi, t, dt, hbar):
