@@ -4,7 +4,8 @@ Every inequality here is a necessary condition: it forbids an event (reaching
 orthogonality, reaching the antipodal state, decaying below a survival floor)
 before a moment-determined time, but never guarantees the event happens. An
 event that does not occur within the simulated horizon is therefore recorded
-as consistent.
+as consistent. Which forms apply is read off the Hamiltonian the trajectory
+carries: an InterpolatedHamiltonian's schedule and total time, or a fixed H.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import HermitianOperator, StateVector, expectation, variance_sqrt
-from .propagate import Trajectory, cumulative_trapezoid
+from .hamiltonians import InterpolatedHamiltonian
+from .propagate import Trajectory
 from .schedules import Schedule, schedule_integral
-
-CONTEXTS = ("time-independent", "qac")
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,14 @@ def survival_lower_bound_ti(t, spread: float, hbar: float) -> SurvivalBound:
     return _clamped_square_bound(spread, _nonnegative_times(t), hbar)
 
 
-def survival_lower_bound_qac(t: float, spread_P: float, sched: Schedule, T: float,
+def survival_lower_bound_qac(t, spread_P: float, sched: Schedule, T: float,
                              hbar: float) -> SurvivalBound:
-    """Annealing form: the schedule integral int_0^t g(tau/T) dtau replaces t."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if t > T * (1.0 + 1e-12):
-        raise ValueError(f"time {t} exceeds the interpolation window {T}")
-    G = T * schedule_integral(sched, upto=min(t / T, 1.0))
+    """Annealing form: the exact schedule integral int_0^t g(tau/T) dtau
+    replaces t; t is a time or an array of times."""
+    t = _nonnegative_times(t)
+    if np.any(t > T * (1.0 + 1e-12)):
+        raise ValueError(f"time {t.max()} exceeds the interpolation window {T}")
+    G = T * schedule_integral(sched, upto=np.minimum(t / T, 1.0))
     return _clamped_square_bound(spread_P, G, hbar)
 
 
@@ -207,34 +207,25 @@ def write_report_json(report: BoundReport, path) -> None:
         fh.write("\n")
 
 
-def _worst_sample_margin(name, lhs_array, rhs_array, slack, times, note_prefix=""):
-    gap = lhs_array - rhs_array
-    k = int(np.argmax(gap))
-    note = f"{note_prefix}worst sample at t = {times[k]:.9g}"
-    return Margin(name=name, lhs=float(lhs_array[k]), rhs=float(rhs_array[k]),
-                  slack=slack, note=note)
+def _worst_sample_margin(name, lhs_array, rhs_array, slack, times):
+    k = int(np.argmax(lhs_array - rhs_array))
+    return Margin(name=name, lhs=float(lhs_array[k]), rhs=float(rhs_array[k]), slack=slack,
+                  note=f"worst sample at t = {times[k]:.9g}")
 
 
-def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
-                       events: dict | None = None, schedule: Schedule | None = None,
-                       total_time: float | None = None,
+def check_inequalities(traj: Trajectory, moments: MomentPair, events: dict | None = None,
                        provenance: dict | None = None) -> BoundReport:
     """Evaluate every applicable inequality against one trajectory.
 
-    `context` selects the family: "time-independent" checks the fixed-H
-    characteristic times and survival floor; "qac" (requires `schedule` and
-    `total_time`) checks the schedule-rescaled forms. `moments` are the
-    moments of the fixed H (time-independent) or of the problem term (qac) in
-    the start state. `events` maps "orthogonal"/"antipodal" to EventResults
-    when event detection ran.
+    The trajectory's Hamiltonian selects the family: a fixed H checks the
+    fixed-H characteristic times and survival floor ("time-independent"), an
+    InterpolatedHamiltonian the forms rescaled by its schedule and total time
+    ("qac"). `moments` are the moments of the fixed H or of the problem term
+    in the start state. `events` maps "orthogonal"/"antipodal" to
+    EventResults when event detection ran.
     """
-    if context not in CONTEXTS:
-        raise ValueError(f"context must be one of {CONTEXTS}, got {context!r}")
-    if context == "time-independent" and (schedule is not None or total_time is not None):
-        raise ValueError("schedule arguments given for a time-independent context")
-    if context == "qac" and (schedule is None or total_time is None):
-        raise ValueError("qac context needs schedule and total_time")
-
+    h = traj.hamiltonian
+    qac = isinstance(h, InterpolatedHamiltonian)
     hbar = traj.hbar
     events = dict(events or {})
     slack_map = {label: traj.numerical_slack(label) for label in traj.distances}
@@ -247,13 +238,13 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
             slack_map[label], traj.times))
 
     # survival floor over all samples
-    if context == "time-independent":
+    if qac:
+        bound = survival_lower_bound_qac(traj.times, moments.spread, h.schedule, h.total_time,
+                                         hbar)
+        char = char_times_qac(moments, schedule_integral(h.schedule), hbar)
+    else:
         bound = survival_lower_bound_ti(traj.times, moments.spread, hbar)
         char = char_times_ti(moments, hbar)
-    else:
-        G = cumulative_trapezoid(schedule.g(traj.times / total_time), traj.dt)
-        bound = _clamped_square_bound(moments.spread, G, hbar)
-        char = char_times_qac(moments, schedule_integral(schedule), hbar)
     margins.append(_worst_sample_margin("survival", bound.value, traj.survival,
                                         traj.float_floor, traj.times))
 
@@ -266,7 +257,7 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
         return Margin(name=name, lhs=lhs, rhs=math.inf, slack=0.0,
                       note="not triggered; consistent (necessary condition)")
 
-    if context == "time-independent":
+    if not qac:
         # event times against characteristic times, in time units
         for name, ev, lhs in (("orthogonal_time", orth, char.t_orth),
                               ("antipodal_time", anti, char.t_any)):
@@ -292,7 +283,7 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, context: str,
                                       note=f"policy {best}"))
 
     return BoundReport(
-        context=context,
+        context="qac" if qac else "time-independent",
         moments=moments,
         characteristic=char,
         margins=tuple(margins),

@@ -28,7 +28,7 @@ from .bounds import (
     state_moments,
     write_report_json,
 )
-from .events import EventQuery, first_antipodal, first_orthogonal
+from .events import first_antipodal, first_orthogonal
 from .hamiltonians import (
     InterpolatedHamiltonian,
     IsingInstance,
@@ -154,11 +154,8 @@ def _collect(kind: str, reports, config_hash: str, extras: dict | None = None) -
                           summary=summary)
 
 
-def _detect_events(traj, h) -> dict:
-    return {
-        "orthogonal": first_orthogonal(traj, h, EventQuery(kind="orthogonal")),
-        "antipodal": first_antipodal(traj, h, EventQuery(kind="antipodal")),
-    }
+def _detect_events(traj) -> dict:
+    return {"orthogonal": first_orthogonal(traj), "antipodal": first_antipodal(traj)}
 
 
 def _fallback_horizon(char, horizon_mult: float) -> float:
@@ -184,8 +181,7 @@ def run_time_independent(H: HermitianOperator, psi0: StateVector, cfg: Integrato
     reference = (BetaPolicy.constant(m.energy, name="opt") if beta is None
                  else BetaPolicy.constant(beta))
     traj = evolve(H, psi0, horizon, cfg=cfg, betas=[BetaPolicy.zero(), reference])
-    report = check_inequalities(traj, m, "time-independent",
-                                events=_detect_events(traj, H) if events else None,
+    report = check_inequalities(traj, m, events=_detect_events(traj) if events else None,
                                 provenance=provenance)
     return report, traj
 
@@ -298,9 +294,8 @@ def run_qac(instance: IsingInstance, sched: Schedule | None = None,
                                      total_time=T)
         betas = [BetaPolicy.zero(), BetaPolicy.proportional(m.energy, name="gprop")]
         traj = evolve(ih, psi0, T, cfg=cfg, betas=betas)
-        events = _detect_events(traj, ih)
         rep = check_inequalities(
-            traj, m, "qac", events=events, schedule=sched, total_time=T,
+            traj, m, events=_detect_events(traj),
             provenance={"campaign": "qac-ising", "instance": instance.to_dict(),
                         "T": T, "shift_problem_ground": shift_problem_ground,
                         "config_hash": config_hash})

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import HermitianOperator, StateVector, random_state
+from .algebra import HermitianOperator, StateVector, random_state, read_json
 from .bounds import exp_decay_diagnostic, survival_lower_bound_ti, write_report_json
 from .campaigns import (
     load_campaign,
@@ -193,27 +193,34 @@ def _cmd_decay(args) -> int:
 def _cmd_report(args) -> int:
     """Render an existing results directory as a text summary."""
     summary_path = Path(args.results_dir) / "summary.json"
-    if not summary_path.exists():
-        raise ValueError(f"no summary.json under {args.results_dir}")
-    summary = json.loads(summary_path.read_text())
-    print(f"campaign: {summary['kind']} (config {summary['config_hash']})")
-    print(f"runs: {summary['n_runs']}, violations: {summary['n_violations']}")
+    summary = read_json(summary_path)  # a missing file is an OSError naming the path
+    try:  # every line is formatted before any is printed
+        lines = _summary_lines(summary)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{summary_path}: not a campaign summary: {exc!r}") from None
+    print("\n".join(lines))
+    return 0 if summary["n_violations"] == 0 else 1
+
+
+def _summary_lines(summary: dict) -> list:
+    """The report's lines; a non-object, a missing key or a mistyped field raises."""
+    lines = [f"campaign: {summary['kind']} (config {summary['config_hash']})",
+             f"runs: {summary['n_runs']:d}, violations: {summary['n_violations']:d}"]
     rates = summary.get("trigger_rates", {})
     if rates:
         fmt = lambda v: "n/a" if v is None else f"{v:.3g}"
-        print(f"trigger rates: orthogonal {fmt(rates.get('orthogonal'))}, "
-              f"antipodal {fmt(rates.get('antipodal'))}")
+        lines.append(f"trigger rates: orthogonal {fmt(rates.get('orthogonal'))}, "
+                     f"antipodal {fmt(rates.get('antipodal'))}")
     quantiles = summary.get("margin_quantiles", {})
     if quantiles:
-        print("margin quantiles (rhs - lhs, positive is headroom):")
+        lines.append("margin quantiles (rhs - lhs, positive is headroom):")
         width = max(len(name) for name in quantiles)
-        print(f"  {'name'.ljust(width)}  {'min':>12}  {'median':>12}  {'max':>12}")
+        lines.append(f"  {'name'.ljust(width)}  {'min':>12}  {'median':>12}  {'max':>12}")
         for name, stats in sorted(quantiles.items()):
-            print(f"  {name.ljust(width)}  {stats['min']:>12.6g}  "
-                  f"{stats['median']:>12.6g}  {stats['max']:>12.6g}")
-    for violation in summary.get("violations", []):
-        print(f"violation: {json.dumps(violation, sort_keys=True)}")
-    return 0 if summary.get("n_violations", 0) == 0 else 1
+            lines.append(f"  {name.ljust(width)}  {stats['min']:>12.6g}  "
+                         f"{stats['median']:>12.6g}  {stats['max']:>12.6g}")
+    lines += [f"violation: {json.dumps(v, sort_keys=True)}" for v in summary.get("violations", [])]
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,10 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the closed-form suite or a campaign file")
-    p.add_argument("--analytic", action="store_true",
-                   help="run the closed-form two-level suite (the default)")
-    p.add_argument("--campaign", default=None,
-                   help="path to a campaign definition JSON")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--analytic", action="store_true",
+                        help="run the closed-form two-level suite (the default)")
+    target.add_argument("--campaign", default=None,
+                        help="path to a campaign definition JSON")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("ensemble", parents=[common],

@@ -5,7 +5,8 @@ reach (distance 2 under the zero reference phase).
 Both events minimize a nonnegative functional of the overlap, so detection is
 a grid scan for local minima below a coarse threshold followed by
 golden-section refinement at off-grid times, where Trajectory.overlap_at gives
-the overlap (a spectral sum, or one short step from a recorded grid state).
+the overlap under the Hamiltonian the trajectory carries (a spectral sum, or
+one short step from a recorded grid state), so no caller passes H.
 The reported bracket stops shrinking once round-off can steer the search,
 so a flat minimum reports the bracket it is known to lie in.
 """
@@ -90,7 +91,7 @@ def _golden_min(f, a, b, max_iter, width_goal, noise=0.0):
     return d, fd, width, widths
 
 
-def _scan_and_refine(traj: Trajectory, h, q: EventQuery | None, kind: str, functional):
+def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, functional):
     q = q if q is not None else EventQuery(kind=kind)
     if q.kind != kind:
         raise ValueError(f"query kind {q.kind!r} does not match first_{kind}")
@@ -99,8 +100,7 @@ def _scan_and_refine(traj: Trajectory, h, q: EventQuery | None, kind: str, funct
     samples = functional(traj.overlaps)
     n = len(samples) - 1
 
-    def f_at(t):
-        return float(functional(traj.overlap_at(h, t)))
+    f_at = lambda t: float(functional(traj.overlap_at(t)))
 
     threshold = max(q.coarse_threshold, q.tolerance)
     width_goal = traj.horizon * 1e-9
@@ -138,15 +138,15 @@ def _scan_and_refine(traj: Trajectory, h, q: EventQuery | None, kind: str, funct
     )
 
 
-def first_orthogonal(traj: Trajectory, h, q: EventQuery | None = None) -> EventResult:
+def first_orthogonal(traj: Trajectory, q: EventQuery | None = None) -> EventResult:
     """First time |<psi(t)|phi0>| falls to the tolerance, or the achieved
     minimum if it never does. Phase-invariant, so no beta policy enters."""
-    return _scan_and_refine(traj, h, q, "orthogonal", np.abs)
+    return _scan_and_refine(traj, q, "orthogonal", np.abs)
 
 
-def first_antipodal(traj: Trajectory, h, q: EventQuery | None = None) -> EventResult:
+def first_antipodal(traj: Trajectory, q: EventQuery | None = None) -> EventResult:
     """First time the zero-phase distance d(t, 0) reaches 2 (functional
     2 - d), or the supremum-distance record if it never does."""
     if "zero" not in traj.distances:
         raise ValueError("antipodal detection needs the trajectory to carry the zero beta policy")
-    return _scan_and_refine(traj, h, q, "antipodal", lambda o: 2.0 - overlap_distance(o))
+    return _scan_and_refine(traj, q, "antipodal", lambda o: 2.0 - overlap_distance(o))

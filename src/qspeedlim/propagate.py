@@ -21,9 +21,10 @@ exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. On
 the grid t_k = (aK + b) dt, K = ceil(sqrt(steps + 1)), the phase is a coarse
 factor at t_aK times a fine one at t_b, so the grid's overlaps and norms are
 products of two phase tables of about K rows each. An interpolated H(t), and
-every rk4 run, walk the step grid. Trajectory.overlap_at gives the overlap off
-the grid: the spectral sum, whose exponent (-i/hbar) w is taken once per
-trajectory, or one step from a state.
+every rk4 run, walk the step grid. A Trajectory carries the H it ran under, so
+Trajectory.overlap_at(t) gives the overlap off the grid with no other input:
+the spectral sum, whose exponent (-i/hbar) w is taken once per trajectory, or
+one step of that H from a state.
 
 A midpoint-exponential step applies exp(-i H(t + dt/2) dt/hbar) to psi as a
 truncated Taylor series of matrix-vector products (the action of the
@@ -49,12 +50,12 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import StateVector, is_number, overlap_distance
+from .algebra import HermitianOperator, StateVector, is_number, overlap_distance
 from .hamiltonians import InterpolatedHamiltonian
 
 DEFAULT_STEPS = 2000
@@ -163,6 +164,7 @@ class Trajectory:
     distances: dict
     rhs_integrals: dict
     integrand_max: dict
+    hamiltonian: HermitianOperator | InterpolatedHamiltonian  # the H(t) the run evolved under
     initial_state: StateVector
     final_state: StateVector
     states: np.ndarray | None  # grid states of a step loop with record_states
@@ -196,10 +198,10 @@ class Trajectory:
         """(-i/hbar) w of a closed-form trajectory, taken once for every overlap_at."""
         return (-1j / self.hbar) * self.spectrum[0]
 
-    def overlap_at(self, h, t: float) -> complex:
+    def overlap_at(self, t: float) -> complex:
         """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
-        trajectory, or one midpoint-exponential step from the nearest earlier
-        recorded state (unitary, so safe whatever produced the trajectory)."""
+        trajectory, or one midpoint-exponential step of self.hamiltonian from the
+        nearest earlier recorded state (unitary, so safe whatever the method)."""
         if self.spectrum is not None:
             c = self.spectrum[2]
             return np.vdot(np.exp(t * self._spectral_exponent) * c, c)
@@ -207,7 +209,7 @@ class Trajectory:
         tk = self.times[k]
         psi = self.states[k]
         if t > tk + 1e-15:
-            psi = _step_midpoint(h, psi, tk, t - tk, self.hbar)
+            psi = _step_midpoint(self.hamiltonian, psi, tk, t - tk, self.hbar)
         return np.vdot(psi, self.initial_state.amplitudes)
 
 
@@ -400,6 +402,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         distances=distances,
         rhs_integrals=rhs_integrals,
         integrand_max=integrand_max,
+        hamiltonian=h,
         initial_state=StateVector(phi0),
         final_state=StateVector(psi / np.linalg.norm(psi)),
         states=states,
@@ -428,9 +431,7 @@ def convergence_order(h, psi0, horizon, cfg: IntegratorConfig | None = None) -> 
     base = cfg.resolve_steps(horizon)
 
     def final_state(mult):
-        sub = IntegratorConfig(method=cfg.method, steps=base * mult,
-                               norm_tolerance=cfg.norm_tolerance, hbar=cfg.hbar,
-                               record_states=False)
+        sub = replace(cfg, dt=None, steps=base * mult, record_states=False)
         return evolve(h, psi0, horizon, cfg=sub, betas=[BetaPolicy.zero()]).final_state
 
     ref = final_state(16).amplitudes

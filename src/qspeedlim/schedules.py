@@ -136,20 +136,24 @@ class Schedule:
         raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-def schedule_integral(s: Schedule, upto: float = 1.0) -> float:
-    """Integral of g from 0 to `upto` (a point in [0, 1]), exact for every
-    kind: u^(p+1) / (p+1) for g = tau^p (linear is p = 1), and the trapezoid
-    of the piecewise-linear interpolant for tabulated schedules.
-    """
-    if not 0.0 <= upto <= 1.0 + BOUNDARY_TOL:
+def schedule_integral(s: Schedule, upto=1.0):
+    """Integral of g from 0 to `upto`, a point or an array of points in
+    [0, 1], exact for every kind: u^(p+1) / (p+1) for g = tau^p (linear is
+    p = 1), and the knot trapezoids below u plus the partial segment up to u
+    for the piecewise-linear g of a tabulated schedule."""
+    u = np.asarray(upto, dtype=float)
+    if not np.all((0.0 <= u) & (u <= 1.0 + BOUNDARY_TOL)):  # NaN fails this test too
         raise ValueError(f"upto must lie in [0, 1], got {upto}")
-    upto = min(upto, 1.0)
+    u = np.minimum(u, 1.0)
     if s.kind == "tabulated":
-        taus = s.knots[:, 0]
-        pts = np.append(taus[taus < upto], upto)
-        return float(np.trapezoid(s.g(pts), pts))
-    p = s.power if s.kind == "poly" else 1.0
-    return float(upto ** (p + 1.0) / (p + 1.0))
+        taus, gs = s.knots[:, 0], s.knots[:, 2]
+        below = np.append(0.0, np.cumsum(np.diff(taus) * (gs[1:] + gs[:-1]) / 2.0))
+        k = np.clip(np.searchsorted(taus, u, side="right") - 1, 0, len(taus) - 2)
+        out = below[k] + (u - taus[k]) * (gs[k] + s.g(u)) / 2.0
+    else:
+        p = s.power if s.kind == "poly" else 1.0
+        out = u ** (p + 1.0) / (p + 1.0)
+    return out if out.ndim else float(out)
 
 
 def load_schedule(path) -> Schedule:

@@ -74,7 +74,7 @@ def test_criterion_1_analytic_orthogonality():
     t0 = time.monotonic()
     h = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
     traj = evolve(h, PLUS, horizon=4.0)
-    event = first_orthogonal(traj, h)
+    event = first_orthogonal(traj)
     elapsed = time.monotonic() - t0
     lower = 2.0 * math.sqrt(2.0)
     margin = event.time - lower if event.triggered else float("nan")
@@ -92,7 +92,7 @@ def test_criterion_2_analytic_antipodal():
     t0 = time.monotonic()
     h = HermitianOperator(np.diag([-0.5, 0.5]).astype(complex))
     traj = evolve(h, PLUS, horizon=8.0)
-    event = first_antipodal(traj, h)
+    event = first_antipodal(traj)
     elapsed = time.monotonic() - t0
     margin = event.time - 4.0 if event.triggered else float("nan")
     ok = (event.triggered

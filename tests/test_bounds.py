@@ -34,14 +34,14 @@ from qspeedlim.schedules import Schedule
 PLUS = StateVector.normalized(np.array([1.0, 1.0]))
 
 
-def phase_winding_annealer(h=2.0, T=4.0):
+def phase_winding_annealer(h=2.0, T=4.0, schedule=None):
     """Zero initial term, so H(t) = g(t/T) diag(h, -h): exactly solvable with
     overlap cos(h G(t)), G(t) = t^2/(2T) for the linear schedule. Both events
     trigger at closed-form times inside the window."""
     zero = HermitianOperator(np.zeros((2, 2), dtype=complex))
     problem = ising_problem(IsingInstance(n=1, fields=((0, h),)))
     return InterpolatedHamiltonian(initial=zero, problem=problem,
-                                   schedule=Schedule.linear(), total_time=T)
+                                   schedule=schedule or Schedule.linear(), total_time=T)
 
 
 class TestMomentPair:
@@ -200,6 +200,17 @@ class TestSurvivalBounds:
             survival_lower_bound_qac(5.0, spread_P=0.5, sched=Schedule.linear(),
                                      T=4.0, hbar=1.0)
 
+    @pytest.mark.parametrize("sched", [Schedule.linear(), Schedule.polynomial(0.5)],
+                             ids=["linear", "poly0.5"])
+    def test_annealing_array_matches_points(self, sched):
+        t = np.linspace(0.0, 4.0, 41)
+        got = survival_lower_bound_qac(t, spread_P=1.5, sched=sched, T=4.0, hbar=1.0)
+        want = [survival_lower_bound_qac(x, spread_P=1.5, sched=sched, T=4.0, hbar=1.0)
+                for x in t]
+        np.testing.assert_allclose(got.value, [b.value for b in want], rtol=1e-14, atol=0.0)
+        assert list(got.vacuous) == [b.vacuous for b in want]
+        assert got.vacuous.any() and not got.vacuous.all()
+
 
 class TestExpDecayDiagnostic:
     def test_start(self):
@@ -237,13 +248,12 @@ class TestCheckInequalitiesTimeIndependent:
                            betas=[BetaPolicy.zero(), BetaPolicy.constant(0.5)])
         self.moments = state_moments(self.H, PLUS)
         self.events = {
-            "orthogonal": first_orthogonal(self.traj, self.H),
-            "antipodal": first_antipodal(self.traj, self.H),
+            "orthogonal": first_orthogonal(self.traj),
+            "antipodal": first_antipodal(self.traj),
         }
 
     def test_report_structure(self):
-        rep = check_inequalities(self.traj, self.moments, "time-independent",
-                                 events=self.events)
+        rep = check_inequalities(self.traj, self.moments, events=self.events)
         names = {m.name for m in rep.margins}
         assert names == {"general:zero", "general:const0.5", "survival",
                          "orthogonal_time", "antipodal_time"}
@@ -251,32 +261,29 @@ class TestCheckInequalitiesTimeIndependent:
         assert rep.context == "time-independent"
 
     def test_orthogonality_margin_value(self):
-        rep = check_inequalities(self.traj, self.moments, "time-independent",
-                                 events=self.events)
+        rep = check_inequalities(self.traj, self.moments, events=self.events)
         m = {m.name: m for m in rep.margins}["orthogonal_time"]
         assert m.lhs == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
         assert m.rhs == pytest.approx(math.pi, abs=1e-6)
         assert m.margin == pytest.approx(math.pi - 2.0 * math.sqrt(2.0), abs=1e-6)
 
     def test_untriggered_event_recorded_as_consistent(self):
-        rep = check_inequalities(self.traj, self.moments, "time-independent",
-                                 events=self.events)
+        rep = check_inequalities(self.traj, self.moments, events=self.events)
         m = {m.name: m for m in rep.margins}["antipodal_time"]
         assert m.satisfied
         assert "not triggered" in m.note
         assert math.isinf(m.rhs)
 
     def test_measured_times_recorded(self):
-        rep = check_inequalities(self.traj, self.moments, "time-independent",
-                                 events=self.events)
+        rep = check_inequalities(self.traj, self.moments, events=self.events)
         assert rep.measured_orth_time == pytest.approx(math.pi, abs=1e-6)
         assert rep.measured_antipodal_time is None
 
     def test_antipodal_case_margin(self):
         H = HermitianOperator(np.diag([-0.5, 0.5]).astype(complex))
         traj = evolve(H, PLUS, horizon=8.0, betas=[BetaPolicy.zero()])
-        events = {"antipodal": first_antipodal(traj, H)}
-        rep = check_inequalities(traj, state_moments(H, PLUS), "time-independent",
+        events = {"antipodal": first_antipodal(traj)}
+        rep = check_inequalities(traj, state_moments(H, PLUS),
                                  events=events)
         m = {m.name: m for m in rep.margins}["antipodal_time"]
         assert m.lhs == pytest.approx(4.0, abs=1e-12)
@@ -292,17 +299,25 @@ class TestCheckInequalitiesTimeIndependent:
             traj = evolve(H, psi0, horizon=3.0,
                           betas=[BetaPolicy.zero(), BetaPolicy.constant(m.energy)],
                           cfg=IntegratorConfig(steps=600))
-            rep = check_inequalities(traj, m, "time-independent")
+            rep = check_inequalities(traj, m)
             assert all(mg.satisfied for mg in rep.margins), f"seed {seed}"
 
-    def test_context_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            check_inequalities(self.traj, self.moments, "time-independent",
-                               schedule=Schedule.linear(), total_time=4.0)
-        with pytest.raises(ValueError):
-            check_inequalities(self.traj, self.moments, "qac")
-        with pytest.raises(ValueError):
-            check_inequalities(self.traj, self.moments, "diabatic")
+    def test_context_follows_the_hamiltonian(self):
+        # self.H as a fixed operator and as the problem term of an anneal from
+        # the transverse field: the trajectory's Hamiltonian selects the forms
+        ih = InterpolatedHamiltonian(initial=transverse_initial(1), problem=self.H,
+                                     schedule=Schedule.linear(), total_time=4.0)
+        annealed = evolve(ih, PLUS, horizon=4.0,
+                          betas=[BetaPolicy.zero(), BetaPolicy.constant(0.5)])
+        for traj, context, event_margins, g_integral in (
+                (self.traj, "time-independent", {"orthogonal_time", "antipodal_time"}, 1.0),
+                (annealed, "qac", {"qac_orthogonal", "qac_antipodal"}, 0.5)):
+            events = {"orthogonal": first_orthogonal(traj), "antipodal": first_antipodal(traj)}
+            rep = check_inequalities(traj, self.moments, events=events)
+            assert rep.context == context
+            assert event_margins <= {m.name for m in rep.margins}
+            assert rep.characteristic == char_times_qac(self.moments, g_integral, 1.0)
+            assert rep.all_satisfied
 
 
 class TestCheckInequalitiesAnnealing:
@@ -313,8 +328,8 @@ class TestCheckInequalitiesAnnealing:
                            betas=[BetaPolicy.zero()])
         self.moments = state_moments(self.ih.problem, self.psi0)
         self.events = {
-            "orthogonal": first_orthogonal(self.traj, self.ih),
-            "antipodal": first_antipodal(self.traj, self.ih),
+            "orthogonal": first_orthogonal(self.traj),
+            "antipodal": first_antipodal(self.traj),
         }
 
     def test_closed_form_event_times(self):
@@ -326,9 +341,7 @@ class TestCheckInequalitiesAnnealing:
             math.sqrt(4.0 * math.pi), abs=1e-6)
 
     def test_annealing_event_margins(self):
-        rep = check_inequalities(self.traj, self.moments, "qac",
-                                 events=self.events, schedule=self.ih.schedule,
-                                 total_time=4.0)
+        rep = check_inequalities(self.traj, self.moments, events=self.events)
         by_name = {m.name: m for m in rep.margins}
         orth = by_name["qac_orthogonal"]
         assert orth.lhs == pytest.approx(math.sqrt(2.0), abs=1e-12)
@@ -340,16 +353,24 @@ class TestCheckInequalitiesAnnealing:
         assert anti.satisfied
 
     def test_survival_margin_holds(self):
-        rep = check_inequalities(self.traj, self.moments, "qac",
-                                 events=self.events, schedule=self.ih.schedule,
-                                 total_time=4.0)
+        rep = check_inequalities(self.traj, self.moments, events=self.events)
         m = {m.name: m for m in rep.margins}["survival"]
         assert m.satisfied
 
+    def test_survival_margin_is_the_exact_floor(self):
+        # under a concave g a trapezoid of g on the step grid undercounts
+        # G(t), which would put the floor above the paper's
+        ih = phase_winding_annealer(schedule=Schedule.polynomial(0.5))
+        traj = evolve(ih, self.psi0, horizon=4.0, betas=[BetaPolicy.zero()])
+        margin = {m.name: m for m in check_inequalities(traj, self.moments).margins}["survival"]
+        bound = survival_lower_bound_qac(traj.times, self.moments.spread, ih.schedule,
+                                         ih.total_time, traj.hbar)
+        k = int(np.argmax(bound.value - traj.survival))
+        assert (margin.lhs, margin.rhs) == (bound.value[k], traj.survival[k])
+        assert margin.satisfied
+
     def test_characteristic_times_reported(self):
-        rep = check_inequalities(self.traj, self.moments, "qac",
-                                 events=self.events, schedule=self.ih.schedule,
-                                 total_time=4.0)
+        rep = check_inequalities(self.traj, self.moments, events=self.events)
         # spread 2, schedule integral 1/2: orthogonality time sqrt(2)
         assert rep.characteristic.t_orth == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert rep.characteristic.t_any == pytest.approx(2.0, abs=1e-12)
@@ -360,9 +381,9 @@ class TestReportExport:
         H = HermitianOperator(np.zeros((2, 2), dtype=complex))
         traj = evolve(H, PLUS, horizon=1.0)
         m = state_moments(H, PLUS)
-        events = {"orthogonal": first_orthogonal(traj, H),
-                  "antipodal": first_antipodal(traj, H)}
-        rep = check_inequalities(traj, m, "time-independent", events=events)
+        events = {"orthogonal": first_orthogonal(traj),
+                  "antipodal": first_antipodal(traj)}
+        rep = check_inequalities(traj, m, events=events)
         path = tmp_path / "report.json"
         write_report_json(rep, path)
         data = json.loads(path.read_text())

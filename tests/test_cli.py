@@ -112,6 +112,15 @@ class TestArgumentParsing:
 
 
 class TestVerify:
+    def test_analytic_and_campaign_conflict(self, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(FUZZ_BASES[0]))
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--analytic", "--campaign", str(path), "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_analytic_suite_exits_0(self, tmp_path, capsys):
         rc = main(["verify", "--analytic", "--out", str(tmp_path), *FAST])
         assert rc == 0
@@ -273,6 +282,18 @@ class TestQac:
                    "--out", str(tmp_path / "o"), "--steps", "300"])
         assert rc == 0
 
+    def test_concave_schedule_holds_every_bound(self, tmp_path):
+        # the acceptance chain; a grid trapezoid of a concave g undercounted
+        # G(t) and put the survival floor past the survival at T = 4 and 16
+        path = tmp_path / "chain3.json"
+        path.write_text(json.dumps({"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]],
+                                    "fields": [[0, 0.25], [2, -0.5]]}))
+        out = tmp_path / "o"
+        rc = main(["qac", "--instance", str(path), "--schedule", "poly:0.5",
+                   "--T", "1,4,16", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "summary.json").read_text())["n_violations"] == 0
+
     def test_malformed_instance_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1,\n "couplings": }\n')
@@ -426,6 +447,24 @@ class TestReport:
         rc = main(["report", str(tmp_path / "missing")])
         assert rc == 2
         assert "summary.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{}", '{"kind": "x"}', "[]", '"summary"', "{\n  \"kind\": }\n",
+        '{"kind": "x", "config_hash": "c", "n_runs": "three", "n_violations": 0}',
+        '{"kind": "x", "config_hash": "c", "n_runs": 1, "n_violations": null}',
+        '{"kind": "x", "config_hash": "c", "n_runs": 1, "n_violations": 0, '
+        '"trigger_rates": {"orthogonal": "high"}}',
+        '{"kind": "x", "config_hash": "c", "n_runs": 1, "n_violations": 0, '
+        '"margin_quantiles": {"survival": {"min": 0.1}}}',
+    ], ids=["empty", "kind-only", "array", "string", "malformed", "text-count",
+            "null-count", "text-rate", "short-quantiles"])
+    def test_malformed_summary_exits_2(self, text, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text(text)
+        assert main(["report", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "summary.json" in err
 
 
 class TestViolationPath:

@@ -36,7 +36,7 @@ class TestOrthogonal:
         # |<psi(t)|phi0>| = |cos(t/2)| hits zero at t = pi
         H = gap_hamiltonian()
         traj = evolve(H, PLUS, horizon=4.0)
-        res = first_orthogonal(traj, H)
+        res = first_orthogonal(traj)
         assert res.triggered
         assert res.time == pytest.approx(math.pi, abs=1e-7)
         assert res.functional_value <= 1e-6
@@ -46,7 +46,7 @@ class TestOrthogonal:
     def test_refined_time_survives_fresh_integration(self):
         H = gap_hamiltonian()
         traj = evolve(H, PLUS, horizon=4.0)
-        res = first_orthogonal(traj, H)
+        res = first_orthogonal(traj)
         fresh = evolve(H, PLUS, horizon=res.time,
                        cfg=IntegratorConfig(steps=4 * 2000))
         assert abs(fresh.overlaps[-1]) <= 1e-6
@@ -54,7 +54,7 @@ class TestOrthogonal:
     def test_frozen_state_never_triggers(self):
         H = HermitianOperator(np.zeros((2, 2), dtype=complex))
         traj = evolve(H, PLUS, horizon=1.0)
-        res = first_orthogonal(traj, H)
+        res = first_orthogonal(traj)
         assert not res.triggered
         assert res.time is None
         assert res.functional_value == pytest.approx(1.0, abs=1e-9)
@@ -63,7 +63,7 @@ class TestOrthogonal:
         H = gap_hamiltonian()
         basis0 = StateVector.basis(2, 0)
         traj = evolve(H, basis0, horizon=4.0)
-        res = first_orthogonal(traj, H)
+        res = first_orthogonal(traj)
         assert not res.triggered
         assert res.functional_value == pytest.approx(1.0, abs=1e-9)
 
@@ -75,7 +75,7 @@ class TestOrthogonal:
         H = gap_hamiltonian()
         traj = evolve(H, psi0, horizon=4.0)
         with caplog.at_level(logging.WARNING, logger="qspeedlim.events"):
-            res = first_orthogonal(traj, H)
+            res = first_orthogonal(traj)
         assert [r.name for r in caplog.records] == ["qspeedlim.events"]
         assert "between" in caplog.records[0].getMessage()
         assert not res.triggered
@@ -88,7 +88,7 @@ class TestOrthogonal:
                 "from qspeedlim import HermitianOperator, StateVector, evolve, first_orthogonal\n"
                 "H = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))\n"
                 "psi0 = StateVector.normalized(np.array([math.sqrt(0.50025), math.sqrt(0.49975)]))\n"
-                "print(first_orthogonal(evolve(H, psi0, horizon=4.0), H).note is not None)\n")
+                "print(first_orthogonal(evolve(H, psi0, horizon=4.0)).note is not None)\n")
         src = Path(__file__).resolve().parents[1] / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -100,7 +100,7 @@ class TestOrthogonal:
     def test_first_of_many_crossings_returned(self):
         H = gap_hamiltonian()
         traj = evolve(H, PLUS, horizon=20.0)
-        res = first_orthogonal(traj, H)
+        res = first_orthogonal(traj)
         # crossings at pi, 3pi, 5pi; the first one wins
         assert res.time == pytest.approx(math.pi, abs=1e-6)
 
@@ -112,7 +112,7 @@ class TestAntipodal:
         # where cos(t/2) = -1, i.e. t = 2 pi
         H = symmetric_hamiltonian()
         traj = evolve(H, PLUS, horizon=8.0)
-        res = first_antipodal(traj, H)
+        res = first_antipodal(traj)
         assert res.triggered
         assert res.time == pytest.approx(2.0 * math.pi, abs=1e-6)
         # the minimum is flat, so round-off bounds the width, not the step count
@@ -124,7 +124,7 @@ class TestAntipodal:
         # Re<psi|phi0> = (1 + cos t)/2 >= 0 keeps d below sqrt(2)
         H = gap_hamiltonian()
         traj = evolve(H, PLUS, horizon=4.0)
-        res = first_antipodal(traj, H)
+        res = first_antipodal(traj)
         assert not res.triggered
         sup_d = 2.0 - res.functional_value
         assert sup_d == pytest.approx(math.sqrt(2.0), abs=1e-4)
@@ -132,7 +132,7 @@ class TestAntipodal:
     def test_frozen_state_sup_distance_zero(self):
         H = HermitianOperator(np.zeros((2, 2), dtype=complex))
         traj = evolve(H, PLUS, horizon=1.0)
-        res = first_antipodal(traj, H)
+        res = first_antipodal(traj)
         assert not res.triggered
         # functional 2 - d stays at 2 up to eps-level rounding noise
         assert res.functional_value == pytest.approx(2.0, abs=1e-7)
@@ -140,7 +140,7 @@ class TestAntipodal:
     def test_antipodal_implies_earlier_orthogonal_grade_distance(self):
         H = symmetric_hamiltonian()
         traj = evolve(H, PLUS, horizon=8.0)
-        res = first_antipodal(traj, H)
+        res = first_antipodal(traj)
         assert res.triggered
         earlier = traj.distances["zero"][traj.times <= res.time]
         assert np.any(earlier >= math.sqrt(2.0) - 1e-9)
@@ -152,7 +152,7 @@ class TestAntipodal:
         H = random_hermitian(2, seed)
         psi0 = random_state(2, [seed, 17])
         traj = evolve(H, psi0, 4.0 * char_times_ti(state_moments(H, psi0), 1.0).t_orth)
-        res = first_antipodal(traj, H)
+        res = first_antipodal(traj)
         assert res.triggered
         w, _, c = traj.spectrum
         p = np.abs(c) ** 2
@@ -165,7 +165,7 @@ class TestAntipodal:
         H = symmetric_hamiltonian()
         traj = evolve(H, PLUS, horizon=8.0, betas=[BetaPolicy.constant(0.3)])
         with pytest.raises(ValueError, match="zero"):
-            first_antipodal(traj, H)
+            first_antipodal(traj)
 
 
 class TestQueryAndRefinement:
@@ -181,7 +181,7 @@ class TestQueryAndRefinement:
         H = gap_hamiltonian()
         traj = evolve(H, PLUS, horizon=4.0)
         with pytest.raises(ValueError, match="kind"):
-            first_orthogonal(traj, H, EventQuery(kind="antipodal"))
+            first_orthogonal(traj, EventQuery(kind="antipodal"))
 
     def test_golden_section_widths_strictly_decrease(self):
         f = lambda x: (x - 1.3) ** 2
@@ -211,21 +211,21 @@ class TestQueryAndRefinement:
         traj = evolve(H, PLUS, horizon=4.0,
                       cfg=IntegratorConfig(method="rk4", record_states=False))
         with pytest.raises(ValueError, match="states"):
-            first_orthogonal(traj, H)
+            first_orthogonal(traj)
 
     def test_closed_form_refines_without_states(self):
         # a fixed H under midpoint-exponential keeps its spectrum, not states
         H = gap_hamiltonian()
         traj = evolve(H, PLUS, horizon=4.0, cfg=IntegratorConfig(record_states=False))
         assert traj.states is None and traj.spectrum is not None
-        res = first_orthogonal(traj, H)
+        res = first_orthogonal(traj)
         assert res.triggered
         assert res.time == pytest.approx(math.pi, abs=1e-7)
 
     def test_no_spurious_event_at_time_zero(self):
         H = symmetric_hamiltonian()
         traj = evolve(H, PLUS, horizon=8.0)
-        for res in (first_orthogonal(traj, H), first_antipodal(traj, H)):
+        for res in (first_orthogonal(traj), first_antipodal(traj)):
             if res.triggered:
                 assert res.time > 0.0
 
@@ -235,6 +235,6 @@ class TestQueryAndRefinement:
         psi0 = StateVector.normalized(np.array([math.sqrt(p0), math.sqrt(1.0 - p0)]))
         H = gap_hamiltonian()
         traj = evolve(H, psi0, horizon=4.0)
-        res = first_orthogonal(traj, H, EventQuery(kind="orthogonal", tolerance=0.1))
+        res = first_orthogonal(traj, EventQuery(kind="orthogonal", tolerance=0.1))
         assert res.triggered
         assert res.functional_value <= 0.1

@@ -252,7 +252,7 @@ class TestClosedFormAgainstDenseLoop:
         # the oracle refines from its recorded grid states, as the loop did
         looped = dataclasses.replace(traj, overlaps=overlaps, states=states, spectrum=None)
         for detect in (first_orthogonal, first_antipodal):
-            got, want = detect(traj, H), detect(looped, H)
+            got, want = detect(traj), detect(looped)
             assert got.triggered == want.triggered, detect.__name__
             if got.triggered:
                 assert abs(got.time - want.time) <= got.bracket_width + want.bracket_width
@@ -280,7 +280,7 @@ class TestClosedFormProperties:
         horizon = horizon_mult * char_times_ti(m, 1.0).t_orth
         traj = evolve(H, psi0, horizon, cfg=IntegratorConfig(steps=steps),
                       betas=[BetaPolicy.zero(), BetaPolicy.constant(beta, name="beta")])
-        report = check_inequalities(traj, m, "time-independent")
+        report = check_inequalities(traj, m)
         checked = [mg for mg in report.margins
                    if mg.name.startswith("general:") or mg.name == "survival"]
         assert len(checked) == 3
@@ -325,7 +325,7 @@ class TestFixedHamiltonianAgainstGrid:
         w, _, c = traj.spectrum
         for hbar, run in ((1.0, traj), (0.5, dataclasses.replace(traj, hbar=0.5))):
             for t in np.linspace(0.0, traj.horizon, 50):
-                assert run.overlap_at(H, t) == np.vdot(np.exp(t * ((-1j / hbar) * w)) * c, c)
+                assert run.overlap_at(t) == np.vdot(np.exp(t * ((-1j / hbar) * w)) * c, c)
 
 
 def grid_closed_form(H, phi0, times, cfg):
@@ -476,11 +476,11 @@ class TestTaylorStepAgainstEigh:
         assert np.max(np.abs(traj.overlaps - overlaps)) <= 1e-12
         np.testing.assert_allclose(traj.final_state.amplitudes, states[-1], atol=1e-12)
 
-        got = [detect(traj, ih) for detect in (first_orthogonal, first_antipodal)]
+        got = [detect(traj) for detect in (first_orthogonal, first_antipodal)]
         # the oracle refines from its own grid states with its own step
         monkeypatch.setattr(propagate, "_step_midpoint", eigh_step)
         looped = dataclasses.replace(traj, overlaps=overlaps, states=states)
-        want = [detect(looped, ih) for detect in (first_orthogonal, first_antipodal)]
+        want = [detect(looped) for detect in (first_orthogonal, first_antipodal)]
         assert [g.triggered for g in got] == [w.triggered for w in want]
 
     @pytest.mark.parametrize("n", [3, 6])
@@ -510,7 +510,7 @@ class TestTaylorStepAgainstEigh:
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         traj = evolve(ih, PLUS, 4.0)
-        event = first_orthogonal(traj, ih)
+        event = first_orthogonal(traj)
         assert event.triggered and abs(event.time - math.pi) <= 1e-6
 
 
@@ -707,6 +707,17 @@ class TestConvergenceOrder:
                                 horizon=10.0, cfg=IntegratorConfig(steps=50))
         assert not res.exact
         assert 1.8 <= res.order <= 2.4
+
+    def test_probes_keep_every_setting_but_the_step(self):
+        # a dt-given config probes at the same step counts as its steps twin,
+        # with its method, tolerance and hbar
+        ih, psi0 = projector_annealer(T=10.0), StateVector.uniform(2)
+        settings = dict(method="rk4", norm_tolerance=1e-7, hbar=0.5)
+        by_dt = convergence_order(ih, psi0, 10.0, IntegratorConfig(dt=0.1, **settings))
+        by_steps = convergence_order(ih, psi0, 10.0, IntegratorConfig(steps=100, **settings))
+        assert by_dt.errors == by_steps.errors
+        assert by_dt.errors != convergence_order(ih, psi0, 10.0,
+                                                 IntegratorConfig(steps=100, hbar=0.5)).errors
 
     def test_midpoint_halving_shrinks_survival_change_fourfold(self):
         ih = projector_annealer(T=10.0)

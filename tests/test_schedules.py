@@ -152,6 +152,28 @@ class TestIntegral:
         with pytest.raises(ValueError):
             schedule_integral(Schedule.linear(), upto=-0.1)
 
+    @pytest.mark.parametrize("s", sample_schedules() + [Schedule.tabulated(
+        [[0.0, 1.0, 0.0], [0.3, 0.6, 0.1], [0.8, 0.1, 0.7], [1.0, 0.0, 1.0]])],
+        ids=lambda s: s.kind)
+    def test_array_upto_matches_points_and_quadrature(self, s):
+        # grid points, every knot, and points just beside the knots
+        knots = [] if s.knots is None else list(s.knots[:, 0])
+        u = np.unique(np.clip(np.concatenate(
+            [TAU_GRID, knots, np.add(knots, 1e-9), np.subtract(knots, 1e-9)]), 0.0, 1.0))
+        got = schedule_integral(s, upto=u)
+        assert got.shape == u.shape
+        points = np.array([schedule_integral(s, upto=x) for x in u])
+        np.testing.assert_allclose(got, points, rtol=1e-15, atol=0.0)
+        for x, value in zip(u[::50], got[::50]):
+            oracle, _ = quad(s.g, 0.0, x, points=[k for k in knots if 0.0 < k < x] or None,
+                             limit=200)
+            assert value == pytest.approx(oracle, abs=1e-10)
+
+    def test_array_upto_out_of_range(self):
+        for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                schedule_integral(Schedule.linear(), upto=np.array(bad))
+
     def test_monotone_in_upto(self):
         s = Schedule.polynomial(2)
         vals = [schedule_integral(s, upto=u) for u in np.linspace(0, 1, 21)]
