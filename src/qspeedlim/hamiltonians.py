@@ -1,10 +1,13 @@
 """Hamiltonian builders: transverse-field starters, diagonal Ising problems,
 random Gaussian-ensemble draws, and schedule-interpolated combinations, whose
-terms(t) is the one place H(t) is assembled from its schedule envelopes."""
+terms(t) assembles H(t) from its schedule envelopes at given times and whose
+step_terms(t0, t1) gives the Hamiltonian of every integrator step [t0, t1]:
+the exact step means of the envelopes."""
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from numbers import Integral
@@ -12,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .algebra import DIM_CAP, HermitianOperator, is_number, read_json
-from .schedules import Schedule
+from .schedules import Schedule, schedule_integral
 
 
 def _check_qubit_count(n: int) -> int:
@@ -158,8 +161,8 @@ class InterpolatedHamiltonian:
             )
         if self.extra is not None and self.extra.dim != self.initial.dim:
             raise ValueError("extra term dimension differs from the initial term")
-        if not self.total_time > 0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if not (is_number(self.total_time) and 0 < self.total_time < math.inf):
+            raise ValueError(f"total_time must be positive and finite, got {self.total_time!r}")
         if self.schedule.has_extra_envelope and self.extra is None:
             raise ValueError("schedule has an extra-term envelope but no extra operator was given")
         if self.extra is not None and not self.schedule.has_extra_envelope:
@@ -178,6 +181,25 @@ class InterpolatedHamiltonian:
         pairs = [(self.schedule.f(tau), self.initial), (self.schedule.g(tau), self.problem)]
         if self.extra is not None:  # the envelope is a caller's scalar function
             pairs.append((np.vectorize(self.schedule.h, otypes=[float])(tau), self.extra))
+        return pairs
+
+    def step_terms(self, t0, t1) -> list:
+        """(weight, operator) pairs of the Hamiltonian each step [t0, t1]
+        applies, one weight per step for arrays t0 < t1 in [0, T]. The weights
+        of f and g are their exact means over the step, (F(u1) - F(u0)) /
+        (u1 - u0) with u = t/T and F from schedule_integral, so the step's
+        exponential is the first Magnus term of H(t) = f H_I + g H_P. A
+        caller's extra envelope h has no closed-form integral and keeps its
+        midpoint sample h((u0 + u1) / 2)."""
+        u0, u1 = (np.clip(t / self.total_time, 0.0, 1.0) for t in (t0, t1))
+        # a step too short to move u has weight 0: its whole phase is below rounding
+        du = np.where(u1 > u0, u1 - u0, 1.0)
+        pairs = [((schedule_integral(self.schedule, u1, env)
+                   - schedule_integral(self.schedule, u0, env)) / du, op)
+                 for env, op in (("f", self.initial), ("g", self.problem))]
+        if self.extra is not None:
+            pairs.append((np.vectorize(self.schedule.h, otypes=[float])((u0 + u1) / 2.0),
+                          self.extra))
         return pairs
 
     def matrix(self, t: float) -> np.ndarray:

@@ -26,17 +26,20 @@ Trajectory.overlap_at(t) gives the overlap off the grid with no other input:
 the spectral sum, whose exponent (-i/hbar) w is taken once per trajectory, or
 one step of that H from a state.
 
-A midpoint-exponential step applies exp(-i H(t + dt/2) dt/hbar) to psi as a
-truncated Taylor series of matrix-vector products (the action of the
-exponential, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). Its
-bound rho, dt/hbar times the sum of |envelope| ||operator||_1 over
-InterpolatedHamiltonian.terms, is at least the 2-norm of the exponent, since
-H(t) is Hermitian. The step uses the smallest degree m whose theta_m covers
-rho, where theta_m bounds the series tail beyond degree m by unit round-off,
-so the step is exact to round-off like an eigh. A step with rho > theta_20
-(about 1.46), which one series would not cover, is taken by one eigh of
-H(t + dt/2), so a step costs at most 20 products or one eigh at any dt. The
-annealing runs at the default 2000 steps have rho <= 0.05: 5 to 8 products.
+A midpoint-exponential step [t0, t1] applies exp(-i H_k (t1 - t0)/hbar) to psi,
+where H_k is the step mean of H(t): for an interpolated H, the exact means of
+f and g over the step (the first Magnus term; Blanes, Casas, Oteo & Ros, Phys.
+Rep. 470, 151 (2009)), from one InterpolatedHamiltonian.step_terms table per
+run, which also gives each step's bound rho, (t1 - t0)/hbar times the sum of
+|weight| ||operator||_1. rho is at least the 2-norm of the exponent, since H_k
+is Hermitian. The exponential acts as a truncated Taylor series of
+matrix-vector products (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)) of the smallest degree m whose theta_m covers rho, where theta_m
+bounds the series tail beyond degree m by unit round-off, so the step is
+exact to round-off like an eigh. A step with rho > theta_20 (about 1.46),
+which one series would not cover, is taken by one eigh of H_k, so a step
+costs at most 20 products or one eigh at any dt. The annealing runs at the
+default 2000 steps have rho <= 0.05: 5 to 8 products.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
@@ -101,6 +104,8 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (self.steps is None or is_number(self.steps, numbers.Integral) and self.steps >= 1):
             raise ValueError(f"steps must be an integer of at least 1, got {self.steps!r}")
+        if not isinstance(self.record_states, bool):
+            raise ValueError(f"record_states must be true or false, got {self.record_states!r}")
 
     def resolve_steps(self, horizon: float) -> int:
         if self.dt is not None:
@@ -200,8 +205,9 @@ class Trajectory:
 
     def overlap_at(self, t: float) -> complex:
         """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
-        trajectory, or one midpoint-exponential step of self.hamiltonian from the
-        nearest earlier recorded state (unitary, so safe whatever the method)."""
+        trajectory, or one midpoint-exponential step [t_k, t] of self.hamiltonian
+        from the nearest earlier recorded state (unitary, so safe whatever the
+        method)."""
         if self.spectrum is not None:
             c = self.spectrum[2]
             return np.vdot(np.exp(t * self._spectral_exponent) * c, c)
@@ -209,7 +215,8 @@ class Trajectory:
         tk = self.times[k]
         psi = self.states[k]
         if t > tk + 1e-15:
-            psi = _step_midpoint(self.hamiltonian, psi, tk, t - tk, self.hbar)
+            matrix, rho = _step_rule(self.hamiltonian, np.array([tk]), np.array([t]), self.hbar)
+            psi = _step_midpoint(matrix(0), psi, t - tk, self.hbar, rho[0])
         return np.vdot(psi, self.initial_state.amplitudes)
 
 
@@ -220,18 +227,6 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _matrix_at(h, t: float) -> np.ndarray:
-    if isinstance(h, InterpolatedHamiltonian):
-        return h.matrix(t)
-    return h.entries
-
-
-def _step_bounds(h: InterpolatedHamiltonian, mids, dt: float, hbar: float) -> np.ndarray:
-    """rho at each step midpoint: (dt/hbar) times a bound on ||H(mid)||_1."""
-    bounds = (np.abs(e) * np.linalg.norm(op.entries, 1) for e, op in h.terms(mids))
-    return (dt / hbar) * functools.reduce(operator.iadd, bounds)
-
-
 def _check_phase(phase: float, horizon: float) -> None:
     """Reject a phase past FLOAT_FLOOR * 2**52, where its rounding alone exceeds FLOAT_FLOOR."""
     if phase > FLOAT_FLOOR * 2.0**52:
@@ -239,16 +234,23 @@ def _check_phase(phase: float, horizon: float) -> None:
                                f"floor {FLOAT_FLOOR:g}; shorten the horizon", time=float(horizon))
 
 
-def _step_midpoint(h, psi, t, dt, hbar, rho=None):
-    """One unitary step exp(-i H(t + dt/2) dt / hbar) |psi> as a truncated
-    Taylor series, or by eigh when rho is past the series table; rho bounds
-    ||H(t + dt/2)||_1 dt/hbar and is taken from the matrix when not given."""
-    M = _matrix_at(h, t + dt / 2.0)
-    if rho is None:
-        rho = dt / hbar * np.linalg.norm(M, 1)
-    if not rho < math.inf:  # NaN fails this test too
-        raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho} at t = {t:.9g} is not "
-                               f"finite", time=float(t))
+def _step_rule(h, t0, t1, hbar):
+    """Step k's matrix, as a function of k, and rho_k = (t1 - t0)/hbar * sum |weight|
+    ||operator||_1 >= ||exponent||_2, from one h.step_terms table (a fixed H: weight 1)."""
+    pairs = (h.step_terms(t0, t1) if isinstance(h, InterpolatedHamiltonian)
+             else [(np.ones_like(t0), h)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = (t1 - t0) / hbar * sum(np.abs(w) * np.linalg.norm(op.entries, 1) for w, op in pairs)
+    bad = np.flatnonzero(~(rho < math.inf))  # NaN fails this test too
+    if bad.size:
+        raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho[bad[0]]} at t = "
+                               f"{t0[bad[0]]:.9g} is not finite", time=float(t0[bad[0]]))
+    return lambda k: functools.reduce(operator.iadd, (w[k] * op.entries for w, op in pairs)), rho
+
+
+def _step_midpoint(M, psi, dt, hbar, rho):
+    """One unitary step exp(-i M dt / hbar) |psi> as a truncated Taylor series,
+    or by eigh when rho, a bound on ||M||_2 dt/hbar, is past the series table."""
     if rho > _THETA[-1]:
         w, V = np.linalg.eigh(M)
         return V @ (np.exp(-1j * w * dt / hbar) * (V.conj().T @ psi))
@@ -260,7 +262,8 @@ def _step_midpoint(h, psi, t, dt, hbar, rho=None):
 
 
 def _step_rk4(h, psi, t, dt, hbar):
-    deriv = lambda t, psi: (-1j / hbar) * (_matrix_at(h, t) @ psi)
+    matrix = h.matrix if isinstance(h, InterpolatedHamiltonian) else lambda t: h.entries
+    deriv = lambda t, psi: (-1j / hbar) * (matrix(t) @ psi)
     k1 = deriv(t, psi)
     k2 = deriv(t + dt / 2.0, psi + (dt / 2.0) * k1)
     k3 = deriv(t + dt / 2.0, psi + (dt / 2.0) * k2)
@@ -352,10 +355,9 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, times, cfg)
     else:
         if cfg.method == "midpoint-exponential":
-            rho = _step_bounds(h, times[:-1] + dt / 2.0, dt, hbar)
-            if np.isfinite(rho).all():  # a non-finite rho fails at its own step, naming the time
-                _check_phase(float(np.sum(rho)), horizon)
-            step = lambda k, psi: _step_midpoint(h, psi, times[k], dt, hbar, rho[k])
+            matrix, rho = _step_rule(h, times[:-1], times[1:], hbar)
+            _check_phase(float(np.sum(rho)), horizon)
+            step = lambda k, psi: _step_midpoint(matrix(k), psi, dt, hbar, rho[k])
         else:
             step = lambda k, psi: _step_rk4(h, psi, times[k], dt, hbar)
         overlaps = np.empty(nsteps + 1, dtype=complex)

@@ -3,7 +3,7 @@
 A schedule is a pair of functions (f, g) on the unit interval with
 f(0) = 1, f(1) = 0, g(0) = 0, g(1) = 1, both continuous and g >= 0,
 plus an optional extra-term envelope h with h(0) = h(1) = 0. f and g take a
-point or an array of points, and every kind integrates g in closed form.
+point or an array of points, and every kind integrates f and g in closed form.
 """
 
 from __future__ import annotations
@@ -136,23 +136,28 @@ class Schedule:
         raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-def schedule_integral(s: Schedule, upto=1.0):
-    """Integral of g from 0 to `upto`, a point or an array of points in
-    [0, 1], exact for every kind: u^(p+1) / (p+1) for g = tau^p (linear is
-    p = 1), and the knot trapezoids below u plus the partial segment up to u
-    for the piecewise-linear g of a tabulated schedule."""
+def schedule_integral(s: Schedule, upto=1.0, envelope="g"):
+    """Integral of the envelope g, or f, from 0 to `upto`, a point or an array
+    of points in [0, 1], exact for every kind: u^(p+1) / (p+1) for g = tau^p
+    (linear is p = 1) and u minus that for f = 1 - g, and the knot trapezoids
+    below u plus the partial segment up to u for the piecewise-linear column
+    of a tabulated schedule."""
+    if envelope not in ("f", "g"):
+        raise ValueError(f"envelope must be 'f' or 'g', got {envelope!r}")
     u = np.asarray(upto, dtype=float)
     if not np.all((0.0 <= u) & (u <= 1.0 + BOUNDARY_TOL)):  # NaN fails this test too
         raise ValueError(f"upto must lie in [0, 1], got {upto}")
     u = np.minimum(u, 1.0)
     if s.kind == "tabulated":
-        taus, gs = s.knots[:, 0], s.knots[:, 2]
-        below = np.append(0.0, np.cumsum(np.diff(taus) * (gs[1:] + gs[:-1]) / 2.0))
+        taus, vals = s.knots[:, 0], s.knots[:, 1 if envelope == "f" else 2]
+        below = np.append(0.0, np.cumsum(np.diff(taus) * (vals[1:] + vals[:-1]) / 2.0))
         k = np.clip(np.searchsorted(taus, u, side="right") - 1, 0, len(taus) - 2)
-        out = below[k] + (u - taus[k]) * (gs[k] + s.g(u)) / 2.0
+        out = below[k] + (u - taus[k]) * (vals[k] + np.interp(u, taus, vals)) / 2.0
     else:
         p = s.power if s.kind == "poly" else 1.0
         out = u ** (p + 1.0) / (p + 1.0)
+        if envelope == "f":
+            out = u - out
     return out if out.ndim else float(out)
 
 

@@ -161,7 +161,9 @@ class TestVerify:
         ({"kind": "gue-ensemble", "parameters": {"dim": 2, "seeds": [0]},
           "integrator": {"stepz": 10}}, "stepz"),
         ({"kind": "gue-ensemble", "parameters": {"dim": "2", "seeds": [0]}}, "dim"),
-    ], ids=["unknown-integrator-key", "mistyped-parameter"])
+        ({"kind": "gue-ensemble", "parameters": {"dim": 2, "seeds": [0]},
+          "integrator": {"record_states": "no"}}, "record_states"),
+    ], ids=["unknown-integrator-key", "mistyped-parameter", "string-record-states"])
     def test_campaign_type_errors_exit_2(self, tmp_path, capsys, campaign, field):
         campaign_path = tmp_path / "campaign.json"
         campaign_path.write_text(json.dumps(campaign))
@@ -284,15 +286,18 @@ class TestQac:
 
     def test_concave_schedule_holds_every_bound(self, tmp_path):
         # the acceptance chain; a grid trapezoid of a concave g undercounted
-        # G(t) and put the survival floor past the survival at T = 4 and 16
+        # G(t) and put the survival floor past the survival at T = 4 and 16,
+        # and a midpoint sample of g near tau = 0, where g' is unbounded, put
+        # the survival itself below the floor for p = 0.1 and 0.3
         path = tmp_path / "chain3.json"
         path.write_text(json.dumps({"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]],
                                     "fields": [[0, 0.25], [2, -0.5]]}))
-        out = tmp_path / "o"
-        rc = main(["qac", "--instance", str(path), "--schedule", "poly:0.5",
-                   "--T", "1,4,16", "--out", str(out)])
-        assert rc == 0
-        assert json.loads((out / "summary.json").read_text())["n_violations"] == 0
+        for spec in ("poly:0.5", "poly:0.3", "poly:0.1"):
+            out = tmp_path / spec.replace(":", "-")
+            rc = main(["qac", "--instance", str(path), "--schedule", spec,
+                       "--T", "1,4,16", "--out", str(out)])
+            assert rc == 0, spec
+            assert json.loads((out / "summary.json").read_text())["n_violations"] == 0, spec
 
     def test_malformed_instance_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qspeedlim.algebra import DIM_CAP, StateVector, expectation, inner_product
 from qspeedlim.hamiltonians import (
@@ -257,6 +258,49 @@ class TestInterpolatedHamiltonian:
     def test_nonpositive_total_time_rejected(self):
         with pytest.raises(ValueError):
             self.make(T=0.0)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, "4", True])
+    def test_nonfinite_or_nonreal_total_time_rejected(self, T):
+        # an infinite T once passed and reported a false survival violation
+        with pytest.raises(ValueError, match="total_time"):
+            self.make(T=T)
+
+    @pytest.mark.parametrize("schedule", [
+        Schedule.linear(), Schedule.polynomial(0.1), Schedule.polynomial(2.5),
+        Schedule.tabulated([[0.0, 1.0, 0.0], [0.37, 0.5, 0.2], [1.0, 0.0, 1.0]]),
+    ], ids=["linear", "poly0.1", "poly2.5", "tabulated"])
+    def test_step_terms_are_quadrature_means(self, schedule):
+        # the steps include the first, where tau^0.1 is steepest, and one
+        # across the knot at tau = 0.37
+        ih = self.make(schedule=schedule, T=8.0)
+        t0 = np.array([0.0, 0.004, 2.9, 2.95, 5.0, 7.99])
+        t1 = np.array([0.004, 0.5, 2.95, 3.0, 7.0, 8.0])
+        (wf, initial), (wg, problem) = ih.step_terms(t0, t1)
+        assert initial is self.initial and problem is self.problem
+        for k, (a, b) in enumerate(zip(t0 / 8.0, t1 / 8.0)):
+            for env, w in ((schedule.f, wf), (schedule.g, wg)):
+                mean = quad(env, a, b, points=[0.37] if a < 0.37 < b else None,
+                            epsabs=1e-14, limit=200)[0] / (b - a)
+                assert w[k] == pytest.approx(mean, abs=1e-10)
+
+    def test_step_too_short_to_move_u_has_weight_zero(self):
+        # 11 and the next float are 1.8e-15 apart, past the 1e-15 an off-grid
+        # step needs, yet divide by T = 19.2 to the same u: no 0/0 weight
+        ih = self.make(T=19.2)
+        t0 = np.array([11.0])
+        t1 = np.nextafter(t0, 12.0)
+        assert t0[0] / 19.2 == t1[0] / 19.2
+        for weight, _ in ih.step_terms(t0, t1):
+            assert weight.tolist() == [0.0]
+
+    def test_extra_step_weight_is_the_midpoint_sample(self):
+        envelope = lambda tau: tau * (1.0 - tau)
+        ih = InterpolatedHamiltonian(initial=self.initial, problem=self.problem,
+                                     schedule=Schedule.linear(h=envelope), total_time=4.0,
+                                     extra=transverse_initial(2))
+        weight, extra = ih.step_terms(np.array([1.0, 3.0]), np.array([2.0, 4.0]))[2]
+        assert extra is ih.extra
+        np.testing.assert_array_equal(weight, [envelope(0.375), envelope(0.875)])
 
     def test_extra_term_wiring(self):
         extra = transverse_initial(2)

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import json
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from qspeedlim import cli, propagate
 from qspeedlim.algebra import (
@@ -397,11 +399,27 @@ class TestPhaseTablesAgainstGrid:
         assert peak <= grid_bytes / 4, f"peak {peak} B against a {grid_bytes} B grid"
 
 
+def eigh_action(M, psi, dt, hbar):
+    """exp(-i M dt / hbar) |psi> by one eigh of M."""
+    w, V = np.linalg.eigh(M)
+    return V @ (np.exp(-1j * w * dt / hbar) * (V.conj().T @ psi))
+
+
+def step_mean_matrix(h, t0, t1):
+    """The step's Hamiltonian by quadrature: the means of f and g over
+    [t0, t1] from scipy quad, and the extra envelope at the midpoint."""
+    u0, u1 = t0 / h.total_time, t1 / h.total_time
+    mean = lambda env: integrate.quad(env, u0, u1, epsabs=0.0, epsrel=1e-13)[0] / (u1 - u0)
+    M = mean(h.schedule.f) * h.initial.entries + mean(h.schedule.g) * h.problem.entries
+    if h.extra is not None:
+        M = M + h.schedule.h((u0 + u1) / 2.0) * h.extra.entries
+    return M
+
+
 def eigh_step(h, psi, t, dt, hbar):
     """The midpoint-exponential step that the Taylor action replaced: one
-    eigh of H(t + dt/2) per step."""
-    w, V = np.linalg.eigh(h.matrix(t + dt / 2.0))
-    return V @ (np.exp(-1j * w * dt / hbar) * (V.conj().T @ psi))
+    eigh of the step's Hamiltonian per step."""
+    return eigh_action(step_mean_matrix(h, t, t + dt), psi, dt, hbar)
 
 
 def eigh_loop(h, phi0, times, hbar):
@@ -478,7 +496,8 @@ class TestTaylorStepAgainstEigh:
 
         got = [detect(traj) for detect in (first_orthogonal, first_antipodal)]
         # the oracle refines from its own grid states with its own step
-        monkeypatch.setattr(propagate, "_step_midpoint", eigh_step)
+        monkeypatch.setattr(propagate, "_step_midpoint",
+                            lambda M, psi, dt, hbar, rho: eigh_action(M, psi, dt, hbar))
         looped = dataclasses.replace(traj, overlaps=overlaps, states=states)
         want = [detect(looped) for detect in (first_orthogonal, first_antipodal)]
         assert [g.triggered for g in got] == [w.triggered for w in want]
@@ -492,12 +511,35 @@ class TestTaylorStepAgainstEigh:
         dt = 1.01 * propagate._THETA[-1] / np.linalg.norm(H.entries, 1)
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-        whole = propagate._step_midpoint(H, psi, 0.0, dt, 1.0)
+        rho = dt * np.linalg.norm(H.entries, 1)
+        whole = propagate._step_midpoint(H.entries, psi, dt, 1.0, rho)
         assert len(calls) == 1
-        half = propagate._step_midpoint(H, psi, 0.0, dt / 2.0, 1.0)
-        halves = propagate._step_midpoint(H, half, dt / 2.0, dt / 2.0, 1.0)
+        half = propagate._step_midpoint(H.entries, psi, dt / 2.0, 1.0, rho / 2.0)
+        halves = propagate._step_midpoint(H.entries, half, dt / 2.0, 1.0, rho / 2.0)
         assert len(calls) == 1
         assert np.max(np.abs(whole - halves)) <= 1e-12
+
+    def test_envelope_calls_do_not_grow_with_steps(self, monkeypatch):
+        # every step takes its Hamiltonian from one table per run
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((Schedule, "f"), (Schedule, "g"),
+                            (InterpolatedHamiltonian, "matrix"), (InterpolatedHamiltonian, "terms")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        ih, psi0 = _annealer(_chain(3), 4.0), StateVector.uniform(8)
+        counts = []
+        for steps in (500, 2000):
+            calls.clear()
+            evolve(ih, psi0, 4.0, cfg=IntegratorConfig(steps=steps))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert sum(counts[1].values()) <= 10
 
     def test_no_eigh_in_steps_or_refinement(self, monkeypatch):
         # H(t) = (1 - tau) gap + tau gap = gap reaches orthogonality at pi
@@ -707,6 +749,14 @@ class TestConvergenceOrder:
                                 horizon=10.0, cfg=IntegratorConfig(steps=50))
         assert not res.exact
         assert 1.8 <= res.order <= 2.4
+
+    def test_midpoint_second_order_on_concave_schedule(self):
+        # g = tau^0.1 has an unbounded g' at 0, where a midpoint sample of g
+        # cut the order to 1.24; the step mean of g keeps it second order
+        ih = _annealer(_chain(3), 16.0, Schedule.polynomial(0.1))
+        res = convergence_order(ih, StateVector.uniform(8), 16.0, cfg=IntegratorConfig(steps=500))
+        assert not res.exact
+        assert res.order >= 1.8
 
     def test_probes_keep_every_setting_but_the_step(self):
         # a dt-given config probes at the same step counts as its steps twin,

@@ -169,6 +169,22 @@ class TestIntegral:
                              limit=200)
             assert value == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("s", sample_schedules() + [Schedule.tabulated(
+        [[0.0, 1.0, 0.0], [0.3, 0.6, 0.1], [0.8, 0.1, 0.7], [1.0, 0.0, 1.0]])],
+        ids=lambda s: s.kind)
+    def test_f_integral_matches_quadrature(self, s):
+        # the tabulated f is not 1 - g, so its own knot column is integrated
+        knots = [] if s.knots is None else list(s.knots[:, 0])
+        got = schedule_integral(s, upto=TAU_GRID, envelope="f")
+        for x, value in zip(TAU_GRID[::25], got[::25]):
+            oracle, _ = quad(s.f, 0.0, x, points=[k for k in knots if 0.0 < k < x] or None,
+                             limit=200)
+            assert value == pytest.approx(oracle, abs=1e-10)
+
+    def test_unknown_envelope_rejected(self):
+        with pytest.raises(ValueError, match="envelope"):
+            schedule_integral(Schedule.linear(), envelope="h")
+
     def test_array_upto_out_of_range(self):
         for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
             with pytest.raises(ValueError):
