@@ -22,6 +22,8 @@ from .hamiltonians import InterpolatedHamiltonian
 from .propagate import Trajectory
 from .schedules import Schedule, schedule_integral
 
+GROUND_ENERGY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MomentPair:
@@ -222,10 +224,17 @@ def check_inequalities(traj: Trajectory, moments: MomentPair, events: dict | Non
     InterpolatedHamiltonian the forms rescaled by its schedule and total time
     ("qac"). `moments` are the moments of the fixed H or of the problem term
     in the start state. `events` maps "orthogonal"/"antipodal" to
-    EventResults when event detection ran.
+    EventResults when event detection ran. The "qac" forms need H(t) phi0 =
+    g(t/T) H_P phi0, so an initial term that does not annihilate the start
+    state is a ValueError.
     """
     h = traj.hamiltonian
     qac = isinstance(h, InterpolatedHamiltonian)
+    if qac:
+        defect = float(np.linalg.norm(h.initial.apply(traj.initial_state)))
+        if defect > GROUND_ENERGY_TOL:
+            raise ValueError(f"initial term does not annihilate the start state "
+                             f"(defect {defect:.3g}); not a valid annealing start")
     hbar = traj.hbar
     events = dict(events or {})
     slack_map = {label: traj.numerical_slack(label) for label in traj.distances}

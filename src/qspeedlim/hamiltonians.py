@@ -1,8 +1,9 @@
 """Hamiltonian builders: transverse-field starters, diagonal Ising problems,
-random Gaussian-ensemble draws, and schedule-interpolated combinations, whose
-terms(t) assembles H(t) from its schedule envelopes at given times and whose
-step_terms(t0, t1) gives the Hamiltonian of every integrator step [t0, t1]:
-the exact step means of the envelopes."""
+random Gaussian-ensemble draws, and schedule-interpolated combinations
+f(t/T) H_I + g(t/T) H_P of exactly two terms, whose terms(t) assembles H(t)
+from its schedule envelopes at given times and whose step_terms(t0, t1) gives
+the Hamiltonian of every integrator step [t0, t1]: the exact step means of
+the envelopes."""
 
 from __future__ import annotations
 
@@ -146,27 +147,20 @@ def random_hermitian(dim: int, seed: int) -> HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class InterpolatedHamiltonian:
-    """H(t) = f(t/T) * initial + g(t/T) * problem (+ h(t/T) * extra)."""
+    """H(t) = f(t/T) * initial + g(t/T) * problem."""
 
     initial: HermitianOperator
     problem: HermitianOperator
     schedule: Schedule
     total_time: float
-    extra: HermitianOperator | None = None
 
     def __post_init__(self):
         if self.initial.dim != self.problem.dim:
             raise ValueError(
                 f"operator dimensions differ: {self.initial.dim} vs {self.problem.dim}"
             )
-        if self.extra is not None and self.extra.dim != self.initial.dim:
-            raise ValueError("extra term dimension differs from the initial term")
         if not (is_number(self.total_time) and 0 < self.total_time < math.inf):
             raise ValueError(f"total_time must be positive and finite, got {self.total_time!r}")
-        if self.schedule.has_extra_envelope and self.extra is None:
-            raise ValueError("schedule has an extra-term envelope but no extra operator was given")
-        if self.extra is not None and not self.schedule.has_extra_envelope:
-            raise ValueError("extra operator given but the schedule has no envelope for it")
 
     @property
     def dim(self) -> int:
@@ -178,35 +172,23 @@ class InterpolatedHamiltonian:
         its shape. Callers add the weighted terms in place, from the first."""
         tau = t / self.total_time
         tau = np.clip(tau, 0.0, 1.0) if isinstance(tau, np.ndarray) else min(max(tau, 0.0), 1.0)
-        pairs = [(self.schedule.f(tau), self.initial), (self.schedule.g(tau), self.problem)]
-        if self.extra is not None:  # the envelope is a caller's scalar function
-            pairs.append((np.vectorize(self.schedule.h, otypes=[float])(tau), self.extra))
-        return pairs
+        return [(self.schedule.f(tau), self.initial), (self.schedule.g(tau), self.problem)]
 
     def step_terms(self, t0, t1) -> list:
         """(weight, operator) pairs of the Hamiltonian each step [t0, t1]
         applies, one weight per step for arrays t0 < t1 in [0, T]. The weights
         of f and g are their exact means over the step, (F(u1) - F(u0)) /
         (u1 - u0) with u = t/T and F from schedule_integral, so the step's
-        exponential is the first Magnus term of H(t) = f H_I + g H_P. A
-        caller's extra envelope h has no closed-form integral and keeps its
-        midpoint sample h((u0 + u1) / 2)."""
+        exponential is the first Magnus term of H(t) = f H_I + g H_P."""
         u0, u1 = (np.clip(t / self.total_time, 0.0, 1.0) for t in (t0, t1))
         # a step too short to move u has weight 0: its whole phase is below rounding
         du = np.where(u1 > u0, u1 - u0, 1.0)
-        pairs = [((schedule_integral(self.schedule, u1, env)
-                   - schedule_integral(self.schedule, u0, env)) / du, op)
-                 for env, op in (("f", self.initial), ("g", self.problem))]
-        if self.extra is not None:
-            pairs.append((np.vectorize(self.schedule.h, otypes=[float])((u0 + u1) / 2.0),
-                          self.extra))
-        return pairs
+        return [((schedule_integral(self.schedule, u1, env)
+                  - schedule_integral(self.schedule, u0, env)) / du, op)
+                for env, op in (("f", self.initial), ("g", self.problem))]
 
     def matrix(self, t: float) -> np.ndarray:
-        """Raw ndarray at time t; cheaper than `evaluate` inside integrators."""
+        """H(t) as a raw ndarray, for t in [0, T]."""
         if t < -1e-12 * self.total_time or t > self.total_time * (1 + 1e-12):
             raise ValueError(f"t = {t} outside [0, {self.total_time}]")
         return functools.reduce(operator.iadd, (e * op.entries for e, op in self.terms(t)))
-
-    def evaluate(self, t: float) -> HermitianOperator:
-        return HermitianOperator(self.matrix(t))

@@ -1,13 +1,15 @@
 """Interpolation schedules for annealing-style Hamiltonians.
 
-A schedule is a pair of functions (f, g) on the unit interval with
-f(0) = 1, f(1) = 0, g(0) = 0, g(1) = 1, both continuous and g >= 0,
-plus an optional extra-term envelope h with h(0) = h(1) = 0. f and g take a
-point or an array of points, and every kind integrates f and g in closed form.
+A schedule is a pair of envelopes (f, g) on the unit interval with
+f(0) = 1, f(1) = 0, g(0) = 0, g(1) = 1, both continuous and g >= 0, given by
+its kind and that kind's parameters alone. Each kind's envelopes and their
+closed-form integrals are computed here, from those parameters; f and g take a
+point or an array of points.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -20,54 +22,34 @@ KINDS = ("linear", "poly", "tabulated")
 
 
 class Schedule:
-    """Interpolation envelope; build via :meth:`linear`, :meth:`polynomial`
-    or :meth:`tabulated`."""
+    """Interpolation envelopes of one kind: "linear" takes no parameter, "poly"
+    a `power` and "tabulated" a `knots` table. Build via :meth:`linear`,
+    :meth:`polynomial` or :meth:`tabulated`."""
 
-    def __init__(self, kind, f, g, h=None, power=None, knots=None):
+    def __init__(self, kind, power=None, knots=None):
         if kind not in KINDS:
             raise ValueError(f"schedule kind must be one of {KINDS}, got {kind!r}")
+        for name, value, owner in (("power", power, "poly"), ("knots", knots, "tabulated")):
+            if value is not None and kind != owner:
+                raise ValueError(f"a {kind} schedule takes no {name}, got {value!r}")
+        if kind == "poly" and not (is_number(power) and 0 < power < math.inf):
+            raise ValueError(f"power must be a positive finite number, got {power!r}")
         self.kind = kind
-        self._f = f
-        self._g = g
-        self._h = h
-        self.power = power
-        self.knots = knots
-        self._validate_boundaries()
-
-    def _validate_boundaries(self):
-        checks = [
-            ("f(0)", self.f(0.0), 1.0),
-            ("f(1)", self.f(1.0), 0.0),
-            ("g(0)", self.g(0.0), 0.0),
-            ("g(1)", self.g(1.0), 1.0),
-        ]
-        if self._h is not None:
-            checks += [("h(0)", self.h(0.0), 0.0), ("h(1)", self.h(1.0), 0.0)]
-        for name, got, want in checks:
-            if abs(got - want) > BOUNDARY_TOL:
-                raise ValueError(f"schedule boundary violated: {name} = {float(got)!r}, "
-                                 f"expected {want}")
+        self.power = float(power) if kind == "poly" else None
+        self.knots = _checked_knots(knots) if kind == "tabulated" else None
 
     @classmethod
-    def linear(cls, h=None) -> "Schedule":
+    def linear(cls) -> "Schedule":
         """f = 1 - tau, g = tau."""
-        return cls("linear", lambda tau: 1.0 - tau, lambda tau: tau, h=h)
+        return cls("linear")
 
     @classmethod
-    def polynomial(cls, power: float, h=None) -> "Schedule":
-        """g = tau**power with f = 1 - g; power must be positive."""
-        if not (is_number(power) and power > 0):
-            raise ValueError(f"power must be a positive number, got {power!r}")
-        return cls(
-            "poly",
-            lambda tau: 1.0 - tau**power,
-            lambda tau: tau**power,
-            h=h,
-            power=float(power),
-        )
+    def polynomial(cls, power: float) -> "Schedule":
+        """g = tau**power with f = 1 - g; power must be positive and finite."""
+        return cls("poly", power=power)
 
     @classmethod
-    def tabulated(cls, knots, h=None) -> "Schedule":
+    def tabulated(cls, knots) -> "Schedule":
         """Piecewise-linear schedule through rows (tau, f, g).
 
         Knots must start at tau = 0 and end at tau = 1; g must be
@@ -75,43 +57,15 @@ class Schedule:
         everywhere). f may dip below zero but that is unusual enough to
         warrant a warning.
         """
-        try:
-            table = np.asarray(knots, dtype=float)
-        except (TypeError, ValueError):
-            table = np.empty(0)
-        if table.ndim != 2 or table.shape[1] != 3 or len(table) < 2 or not np.isfinite(table).all():
-            raise ValueError("knots must be a finite (m, 3) table of (tau, f, g) rows, m >= 2")
-        taus = table[:, 0]
-        if np.any(np.diff(taus) <= 0):
-            raise ValueError("knot positions must be strictly increasing")
-        if abs(taus[0]) > BOUNDARY_TOL or abs(taus[-1] - 1.0) > BOUNDARY_TOL:
-            raise ValueError("knots must span tau = 0 to tau = 1")
-        if np.any(table[:, 2] < 0):
-            raise ValueError("g must be nonnegative at every knot")
-        if np.any(table[:, 1] < 0):
-            warnings.warn("tabulated schedule has f < 0 at some knots", stacklevel=2)
-        f = lambda tau: np.interp(tau, taus, table[:, 1])
-        g = lambda tau: np.interp(tau, taus, table[:, 2])
-        return cls("tabulated", f, g, h=h, knots=table)
-
-    @property
-    def has_extra_envelope(self) -> bool:
-        return self._h is not None
+        return cls("tabulated", knots=knots)
 
     def f(self, tau):
-        return self._f(tau)
+        return _envelope(self, tau, "f")
 
     def g(self, tau):
-        return self._g(tau)
-
-    def h(self, tau: float) -> float:
-        if self._h is None:
-            raise ValueError("schedule has no extra-term envelope")
-        return float(self._h(tau))
+        return _envelope(self, tau, "g")
 
     def to_dict(self) -> dict:
-        if self._h is not None:
-            raise ValueError("the schedule file format carries no extra-term envelope")
         if self.kind == "linear":
             return {"kind": "linear"}
         if self.kind == "poly":
@@ -134,6 +88,40 @@ class Schedule:
                 raise ValueError("tabulated schedule needs a 'knots' field")
             return cls.tabulated(data["knots"])
         raise ValueError(f"unknown schedule kind {kind!r}")
+
+
+def _checked_knots(knots) -> np.ndarray:
+    try:
+        table = np.asarray(knots, dtype=float)
+    except (TypeError, ValueError):
+        table = np.empty(0)
+    if table.ndim != 2 or table.shape[1] != 3 or len(table) < 2 or not np.isfinite(table).all():
+        raise ValueError("knots must be a finite (m, 3) table of (tau, f, g) rows, m >= 2")
+    taus = table[:, 0]
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError("knot positions must be strictly increasing")
+    if abs(taus[0]) > BOUNDARY_TOL or abs(taus[-1] - 1.0) > BOUNDARY_TOL:
+        raise ValueError("knots must span tau = 0 to tau = 1")
+    if np.any(table[:, 2] < 0):
+        raise ValueError("g must be nonnegative at every knot")
+    # the boundary values that linear and poly hold by construction
+    for name, got, want in (("f(0)", table[0, 1], 1.0), ("f(1)", table[-1, 1], 0.0),
+                            ("g(0)", table[0, 2], 0.0), ("g(1)", table[-1, 2], 1.0)):
+        if abs(got - want) > BOUNDARY_TOL:
+            raise ValueError(f"schedule boundary violated: {name} = {float(got)!r}, "
+                             f"expected {want}")
+    if np.any(table[:, 1] < 0):
+        warnings.warn("tabulated schedule has f < 0 at some knots", stacklevel=4)
+    return table
+
+
+def _envelope(s: Schedule, tau, envelope: str):
+    """The envelope g, or f, at tau in [0, 1]: g = tau^p (linear is p = 1)
+    with f = 1 - g, or the piecewise-linear column of a tabulated schedule."""
+    if s.kind == "tabulated":
+        return np.interp(tau, s.knots[:, 0], s.knots[:, 1 if envelope == "f" else 2])
+    g = tau**s.power if s.kind == "poly" else tau
+    return 1.0 - g if envelope == "f" else g
 
 
 def schedule_integral(s: Schedule, upto=1.0, envelope="g"):

@@ -375,6 +375,18 @@ class TestCheckInequalitiesAnnealing:
         assert rep.characteristic.t_orth == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert rep.characteristic.t_any == pytest.approx(2.0, abs=1e-12)
 
+    def test_initial_term_must_annihilate_start_state(self):
+        # the qac forms need H(t) phi0 = g H_P phi0; a GUE initial term once
+        # got a report with a false survival violation instead of an error
+        problem = ising_problem(IsingInstance(n=3, couplings=((0, 1, -1.0), (1, 2, -1.0)),
+                                              fields=((0, 0.25), (2, -0.5))))
+        ih = InterpolatedHamiltonian(random_hermitian(8, 3), problem, Schedule.linear(), 4.0)
+        psi0 = StateVector.uniform(8)
+        traj = evolve(ih, psi0, horizon=4.0, betas=[BetaPolicy.zero()],
+                      cfg=IntegratorConfig(steps=400))
+        with pytest.raises(ValueError, match="annihilate"):
+            check_inequalities(traj, state_moments(problem, psi0))
+
 
 class TestReportExport:
     def test_json_round_trip_with_infinities(self, tmp_path):

@@ -196,12 +196,6 @@ class TestQacCampaign:
         with pytest.raises(ValueError, match="dimension"):
             run_qac(instance, initial_term=wrong, integrator=FAST)
 
-    def test_schedule_with_extra_envelope_rejected(self):
-        instance = IsingInstance(n=1, couplings=(), fields=((0, 1.0),))
-        bump = Schedule.linear(h=lambda tau: tau * (1.0 - tau))
-        with pytest.raises(ValueError, match="no extra operator for the schedule's extra-term"):
-            run_qac(instance, sched=bump, integrator=FAST)
-
     def test_empty_interpolation_times_rejected(self):
         instance = IsingInstance(n=1, couplings=(), fields=((0, 1.0),))
         with pytest.raises(ValueError, match="nonempty"):

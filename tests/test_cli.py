@@ -176,7 +176,9 @@ class TestVerify:
         ({"T_values": 5}, "T_values"),
         ({"sched": {"kind": "poly", "power": "2"}}, "power"),
         ({"sched": "linear"}, "schedule"),
-    ], ids=["instance-path", "scalar-T-values", "string-power", "string-sched"])
+        ({"sched": {"kind": "poly", "power": 1e400}}, "power"),
+    ], ids=["instance-path", "scalar-T-values", "string-power", "string-sched",
+            "infinite-power"])
     def test_nested_qac_parameter_errors_exit_2(self, tmp_path, capsys, parameters, field):
         campaign = {"kind": "qac-ising", "integrator": {"steps": 50},
                     "parameters": {"instance": {"n": 1, "fields": [[0, -0.5]]},

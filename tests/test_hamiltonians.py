@@ -236,8 +236,8 @@ class TestInterpolatedHamiltonian:
         ih = self.make(schedule=Schedule.polynomial(2))
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 10.0, size=100):
-            op = ih.evaluate(float(t))
-            assert np.max(np.abs(op.entries - op.entries.conj().T)) <= 1e-12
+            M = ih.matrix(float(t))
+            assert np.max(np.abs(M - M.conj().T)) <= 1e-12
 
     def test_time_outside_range_rejected(self):
         ih = self.make()
@@ -292,47 +292,6 @@ class TestInterpolatedHamiltonian:
         assert t0[0] / 19.2 == t1[0] / 19.2
         for weight, _ in ih.step_terms(t0, t1):
             assert weight.tolist() == [0.0]
-
-    def test_extra_step_weight_is_the_midpoint_sample(self):
-        envelope = lambda tau: tau * (1.0 - tau)
-        ih = InterpolatedHamiltonian(initial=self.initial, problem=self.problem,
-                                     schedule=Schedule.linear(h=envelope), total_time=4.0,
-                                     extra=transverse_initial(2))
-        weight, extra = ih.step_terms(np.array([1.0, 3.0]), np.array([2.0, 4.0]))[2]
-        assert extra is ih.extra
-        np.testing.assert_array_equal(weight, [envelope(0.375), envelope(0.875)])
-
-    def test_extra_term_wiring(self):
-        extra = transverse_initial(2)
-        sched = Schedule.linear(h=lambda tau: tau * (1.0 - tau))
-        ih = InterpolatedHamiltonian(
-            initial=self.initial,
-            problem=self.problem,
-            schedule=sched,
-            total_time=4.0,
-            extra=extra,
-        )
-        want = (
-            0.5 * self.initial.entries + 0.5 * self.problem.entries + 0.25 * extra.entries
-        )
-        np.testing.assert_allclose(ih.matrix(2.0), want, atol=1e-15)
-        # envelope vanishes at the ends, so endpoints are unaffected
-        np.testing.assert_allclose(ih.matrix(0.0), self.initial.entries, atol=1e-15)
-
-    def test_extra_consistency_enforced(self):
-        sched_h = Schedule.linear(h=lambda tau: tau * (1.0 - tau))
-        with pytest.raises(ValueError):
-            InterpolatedHamiltonian(
-                initial=self.initial, problem=self.problem, schedule=sched_h, total_time=1.0
-            )
-        with pytest.raises(ValueError):
-            InterpolatedHamiltonian(
-                initial=self.initial,
-                problem=self.problem,
-                schedule=Schedule.linear(),
-                total_time=1.0,
-                extra=transverse_initial(2),
-            )
 
     def test_problem_moments_in_transverse_ground_state(self):
         # moments of the problem term in the initial ground state drive the

@@ -22,3 +22,18 @@ def test_no_module_imports_a_private_name_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def attribute_reads(path: Path, names: set) -> list:
+    """'module:line .name' for each attribute access `x.name` in the file."""
+    return [f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def test_only_schedules_reads_a_schedules_parameters():
+    # each kind's envelopes and integrals are computed from power and knots
+    # in schedules.py alone, so the two cannot disagree
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "schedules.py"]
+    assert len(modules) > 1
+    assert [hit for path in modules for hit in attribute_reads(path, {"power", "knots"})] == []

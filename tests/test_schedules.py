@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,7 +74,22 @@ class TestValidation:
 
     def test_kind_without_exact_integral_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            Schedule("cosine", lambda tau: 1.0 - tau, lambda tau: tau)
+            Schedule("cosine")
+
+    def test_caller_envelopes_rejected(self):
+        # envelopes come from the kind's parameters alone: these tau^4
+        # lambdas once passed, and disagreed with the linear integral
+        with pytest.raises(ValueError, match="power"):
+            Schedule("linear", lambda tau: 1.0 - tau**4, lambda tau: tau**4)
+        with pytest.raises(ValueError, match="knots"):
+            Schedule("poly", 2.0, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_non_finite_power_rejected(self, power):
+        # an infinite power once built g = 0 on [0, 1) and failed only after
+        # every evolution, on its zero integral
+        with pytest.raises(ValueError, match="power"):
+            Schedule.polynomial(power)
 
     def test_tabulated_negative_g_rejected(self):
         knots = [[0.0, 1.0, 0.0], [0.5, 0.5, -0.1], [1.0, 0.0, 1.0]]
@@ -90,19 +106,6 @@ class TestValidation:
         with pytest.warns(UserWarning, match="f < 0"):
             s = Schedule.tabulated(knots)
         assert s.f(0.5) == pytest.approx(-0.2)
-
-    def test_extra_envelope_boundary_enforced(self):
-        with pytest.raises(ValueError, match="h"):
-            Schedule.linear(h=lambda tau: tau)
-
-    def test_extra_envelope_accepted_when_vanishing_at_ends(self):
-        s = Schedule.linear(h=lambda tau: tau * (1.0 - tau))
-        assert s.has_extra_envelope
-        assert s.h(0.5) == pytest.approx(0.25)
-
-    def test_h_query_without_envelope_raises(self):
-        with pytest.raises(ValueError):
-            Schedule.linear().h(0.5)
 
 
 class TestIntegral:
@@ -236,8 +239,3 @@ class TestSerialization:
     def test_mistyped_fields_rejected(self, data, field):
         with pytest.raises(ValueError, match=field):
             Schedule.from_dict(data)
-
-    def test_extra_envelope_not_serializable(self):
-        s = Schedule.linear(h=lambda tau: tau * (1.0 - tau))
-        with pytest.raises(ValueError):
-            s.to_dict()
