@@ -32,21 +32,29 @@ f and g over the step (the first Magnus term; Blanes, Casas, Oteo & Ros, Phys.
 Rep. 470, 151 (2009)), from one InterpolatedHamiltonian.step_terms table per
 run, which also gives each step's bound rho, (t1 - t0)/hbar times the sum of
 |weight| ||operator||_1. rho is at least the 2-norm of the exponent, since H_k
-is Hermitian. The exponential acts as a truncated Taylor series of
-matrix-vector products (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)) of the smallest degree m whose theta_m covers rho, where theta_m
-bounds the series tail beyond degree m by unit round-off, so the step is
-exact to round-off like an eigh. A step with rho > theta_20 (about 1.46),
-which one series would not cover, is taken by one eigh of H_k, so a step
-costs at most 20 products or one eigh at any dt. The annealing runs at the
-default 2000 steps have rho <= 0.05: 5 to 8 products.
+is Hermitian. The exponential acts as a truncated Taylor series (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)) of the smallest degree m whose
+theta_m covers rho, where theta_m bounds the series tail beyond degree m by
+unit round-off, so the step is exact to round-off like an eigh; one
+searchsorted per run gives every step's degree. A step with rho > theta_20
+(about 1.46), which one series would not cover, is taken by one eigh of H_k,
+so a step costs at most 20 products or one eigh at any dt. The annealing runs
+at the default 2000 steps have rho <= 0.05: 5 to 8 products.
+
+Every step runs in one _TaylorKernel, allocated once per run: the exponent
+X_k = (dt/hbar) H_k is assembled in place from the run's weight table, the
+Krylov rows K_j = X_k K_(j-1) fill a fixed buffer, and the new state is one
+product sum_j (-i)^j/j! K_j, written straight into the states array, or into
+a ring of two rows when states are not recorded. When every term is real, as
+transverse_initial, ising_problem and shift_ground_to_zero always are, X_k is
+float64 and each complex row is multiplied as a (d, 2) real block; a complex
+term runs the same kernel in complex arithmetic.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import json
@@ -72,6 +80,8 @@ FLOAT_FLOOR = 1e-7
 # theta_m for Taylor degrees m = 1..20: for rho <= theta_m the series tail
 # beyond degree m, at most 2 rho^(m+1)/(m+1)!, stays below 2**-53
 _THETA = [(2.0**-54 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 21)]
+# the series coefficients (-i)^j / j! of exp(-i X) for j = 0..20
+_SERIES = np.array([(1, -1j, -1, 1j)[j % 4] / math.factorial(j) for j in range(len(_THETA) + 1)])
 
 _CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the trajectory
 
@@ -215,8 +225,10 @@ class Trajectory:
         tk = self.times[k]
         psi = self.states[k]
         if t > tk + 1e-15:
-            matrix, rho = _step_rule(self.hamiltonian, np.array([tk]), np.array([t]), self.hbar)
-            psi = _step_midpoint(matrix(0), psi, t - tk, self.hbar, rho[0])
+            weights, ops, rho = _step_rule(self.hamiltonian, np.array([tk]), np.array([t]),
+                                           self.hbar)
+            M = (weights[0] @ ops).reshape(len(psi), -1)
+            psi = _step_midpoint(M, psi, t - tk, self.hbar, rho[0])
         return np.vdot(psi, self.initial_state.amplitudes)
 
 
@@ -235,8 +247,13 @@ def _check_phase(phase: float, horizon: float) -> None:
 
 
 def _step_rule(h, t0, t1, hbar):
-    """Step k's matrix, as a function of k, and rho_k = (t1 - t0)/hbar * sum |weight|
-    ||operator||_1 >= ||exponent||_2, from one h.step_terms table (a fixed H: weight 1)."""
+    """The step Hamiltonians of steps [t0, t1] from one h.step_terms table (a
+    fixed H: weight 1): a weight table W, steps x terms, over the operators
+    stacked as rows of ops, so that step k's Hamiltonian is W[k] @ ops as a
+    flat d*d row; and rho_k = (t1 - t0)/hbar * sum |weight| ||operator||_1 >=
+    ||exponent||_2. W and ops are float64 when every operator's imaginary part
+    is exactly zero, so each step runs in real arithmetic; otherwise both are
+    complex."""
     pairs = (h.step_terms(t0, t1) if isinstance(h, InterpolatedHamiltonian)
              else [(np.ones_like(t0), h)])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,20 +262,54 @@ def _step_rule(h, t0, t1, hbar):
     if bad.size:
         raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho[bad[0]]} at t = "
                                f"{t0[bad[0]]:.9g} is not finite", time=float(t0[bad[0]]))
-    return lambda k: functools.reduce(operator.iadd, (w[k] * op.entries for w, op in pairs)), rho
+    ops = np.array([op.entries.ravel() for _, op in pairs])
+    if not np.any(ops.imag):
+        ops = np.ascontiguousarray(ops.real)
+    weights = np.column_stack([w for w, _ in pairs]).astype(ops.dtype)
+    return weights, ops, rho
+
+
+def _taylor_degree(rho):
+    """The smallest degree m whose theta_m covers rho, elementwise; a rho past
+    theta_20 gets len(_THETA) + 1, which _TaylorKernel.apply takes by eigh."""
+    return np.searchsorted(_THETA, rho) + 1
+
+
+class _TaylorKernel:
+    """exp(-i X) psi for Hermitian exponents X of one dimension and dtype, in
+    preallocated buffers. The degree-m Taylor series is one product of the
+    fixed coefficients c_j = (-i)^j / j! with the Krylov rows K_0 = psi, K_j =
+    X K_(j-1); a degree past _THETA takes one eigh of X instead. A real X
+    multiplies each complex row as a (d, 2) float block, one real product in
+    place of a complex matrix-vector product."""
+
+    def __init__(self, dim, dtype):
+        self.exponent = np.empty((dim, dim), dtype)  # X, which callers fill in place
+        self.rows = np.empty((len(_SERIES), dim), complex)
+        self._blocks = (self.rows.view(float).reshape(len(_SERIES), dim, 2)
+                        if dtype == float else self.rows)
+
+    def apply(self, psi, degree, out):
+        """out = exp(-i X) psi, X = self.exponent, at the given Taylor degree."""
+        X = self.exponent
+        if degree > len(_THETA):
+            w, V = np.linalg.eigh(X)
+            out[:] = V @ (np.exp(-1j * w) * (V.conj().T @ psi))
+            return out
+        blocks = self._blocks
+        self.rows[0] = psi
+        for j in range(1, degree + 1):
+            np.matmul(X, blocks[j - 1], out=blocks[j])
+        return np.dot(_SERIES[:degree + 1], self.rows[:degree + 1], out=out)
 
 
 def _step_midpoint(M, psi, dt, hbar, rho):
-    """One unitary step exp(-i M dt / hbar) |psi> as a truncated Taylor series,
-    or by eigh when rho, a bound on ||M||_2 dt/hbar, is past the series table."""
-    if rho > _THETA[-1]:
-        w, V = np.linalg.eigh(M)
-        return V @ (np.exp(-1j * w * dt / hbar) * (V.conj().T @ psi))
-    scale, term = -1j * dt / hbar, psi
-    for j in range(1, 2 + bisect.bisect_left(_THETA, rho)):
-        term = (M @ term) * (scale / j)
-        psi = psi + term
-    return psi
+    """One unitary step exp(-i M dt / hbar) |psi> by a _TaylorKernel in M's
+    dtype: the Taylor series, or one eigh when rho, a bound on ||M||_2 dt/hbar,
+    is past the series table."""
+    kernel = _TaylorKernel(len(psi), M.dtype)
+    np.multiply(M, dt / hbar, out=kernel.exponent)
+    return kernel.apply(psi, int(_taylor_degree(rho)), np.empty(len(psi), complex))
 
 
 def _step_rk4(h, psi, t, dt, hbar):
@@ -355,29 +406,41 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, times, cfg)
     else:
         if cfg.method == "midpoint-exponential":
-            matrix, rho = _step_rule(h, times[:-1], times[1:], hbar)
+            weights, ops, rho = _step_rule(h, times[:-1], times[1:], hbar)
             _check_phase(float(np.sum(rho)), horizon)
-            step = lambda k, psi: _step_midpoint(matrix(k), psi, dt, hbar, rho[k])
+            weights *= dt / hbar  # step k's exponent X_k = weights[k] @ ops, assembled in place
+            degrees = _taylor_degree(rho).tolist()
+            kernel = _TaylorKernel(h.dim, ops.dtype)
+            exponent = kernel.exponent.reshape(-1)
+
+            def step(k, psi, out):
+                np.dot(weights[k], ops, out=exponent)
+                kernel.apply(psi, degrees[k], out)
         else:
-            step = lambda k, psi: _step_rk4(h, psi, times[k], dt, hbar)
+            def step(k, psi, out):
+                out[:] = _step_rk4(h, psi, times[k], dt, hbar)
         overlaps = np.empty(nsteps + 1, dtype=complex)
-        if cfg.record_states:
-            states = np.empty((nsteps + 1, h.dim), dtype=complex)
-        psi = phi0.copy()
+        # every grid state when recording, else a ring of two: step k reads row
+        # k and writes row k + 1, modulo the ring
+        ring = np.empty((nsteps + 1 if cfg.record_states else 2, h.dim), dtype=complex)
+        ring[0] = phi0
         norm_max_dev = 0.0
-        for k in range(nsteps + 1):
-            re, im = psi.real, psi.imag  # np.linalg.norm's arithmetic, without its wrapper
-            norm = math.sqrt(re.dot(re) + im.dot(im))
-            dev = abs(norm - 1.0)
-            if not dev <= cfg.norm_tolerance:  # NaN fails this test too
-                raise _norm_error(norm, times[k], cfg.norm_tolerance)
-            norm_max_dev = max(norm_max_dev, dev)
-            overlaps[k] = np.vdot(psi, phi0)
-            if states is not None:
-                states[k] = psi
-            if k == nsteps:
-                break
-            psi = step(k, psi)
+        # an overflowing step leaves a NaN or inf norm, which the check reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(nsteps + 1):
+                psi = ring[k % len(ring)]
+                re, im = psi.real, psi.imag  # np.linalg.norm's arithmetic, without its wrapper
+                norm = math.sqrt(re.dot(re) + im.dot(im))
+                dev = abs(norm - 1.0)
+                if not dev <= cfg.norm_tolerance:  # NaN fails this test too
+                    raise _norm_error(norm, times[k], cfg.norm_tolerance)
+                norm_max_dev = max(norm_max_dev, dev)
+                overlaps[k] = np.vdot(psi, phi0)
+                if k == nsteps:
+                    break
+                step(k, psi, ring[(k + 1) % len(ring)])
+        if cfg.record_states:
+            states = ring
 
     survival = np.abs(overlaps) ** 2
     distances = {}

@@ -315,6 +315,24 @@ class TestQac:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unallocatable_step_grid_exits_2(self, instance_path, tmp_path, capfd):
+        # 4e13 steps: the 291 TiB time grid fails to allocate at once
+        rc = main(["qac", "--instance", str(instance_path), "--T", "4", "--dt", "1e-13",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rk4_prints_only_the_error(self, instance_path, tmp_path, capfd):
+        # pytest records warnings rather than printing them, so a numpy
+        # RuntimeWarning on the way to the norm check is raised here instead
+        rc = main(["qac", "--instance", str(instance_path), "--method", "rk4", "--steps", "10",
+                   "--T", "1e150", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: integration failed")
+
     def test_astronomical_T_returns_promptly(self, tmp_path):
         # phases of ~1e300 carry no significant digits, so the run is
         # rejected before its first step

@@ -513,6 +513,23 @@ class TestTaylorStepAgainstEigh:
         assert len(calls) == 1
         assert np.max(np.abs(whole - halves)) <= 1e-12
 
+    @pytest.mark.parametrize("past_table", [False, True], ids=["taylor", "eigh"])
+    def test_real_and_complex_exponents_agree(self, past_table, monkeypatch):
+        # a real H runs the kernel in float64 blocks; the same matrix cast to
+        # complex runs it in complex arithmetic
+        M = _annealer(_chain(6), 16.0).matrix(8.0)
+        assert not np.any(M.imag)
+        M = M.real.copy()
+        psi = random_state(64, 3).amplitudes
+        rho_max = 1.01 * propagate._THETA[-1] if past_table else 0.9 * propagate._THETA[-1]
+        dt = rho_max / np.linalg.norm(M, 1)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.dtype) or eigh(a))
+        real = propagate._step_midpoint(M, psi, dt, 1.0, rho_max)
+        cplx = propagate._step_midpoint(M.astype(complex), psi, dt, 1.0, rho_max)
+        assert calls == ([np.dtype(float), np.dtype(complex)] if past_table else [])
+        assert np.max(np.abs(real - cplx)) <= 1e-14
+
     def test_envelope_calls_do_not_grow_with_steps(self, monkeypatch):
         # every step takes its Hamiltonian from one table per run
         calls = collections.Counter()
@@ -813,6 +830,15 @@ class TestExport:
         traj = evolve(two_level_gap(), PLUS, horizon=2.0,
                       cfg=IntegratorConfig(steps=100, record_states=False))
         assert traj.states is None
+        # a step loop without recording keeps a ring of two rows and takes the
+        # same steps, bit for bit
+        ih, psi0 = _annealer(_chain(3), 4.0), StateVector.uniform(8)
+        kept, ring = (evolve(ih, psi0, 4.0, cfg=IntegratorConfig(record_states=record))
+                      for record in (True, False))
+        assert ring.states is None and kept.states is not None
+        assert np.array_equal(ring.overlaps, kept.overlaps)
+        assert ring.norm_max_dev == kept.norm_max_dev
+        assert np.array_equal(ring.final_state.amplitudes, kept.final_state.amplitudes)
 
 
 def _csv_writer_oracle(path, header, columns):
