@@ -70,6 +70,9 @@ class Campaign:
         parameters, integrator = data.get("parameters", {}), data.get("integrator", {})
         if not (isinstance(parameters, dict) and isinstance(integrator, dict)):
             raise ValueError("campaign 'parameters' and 'integrator' must be objects")
+        if "record_states" in integrator:
+            raise ValueError("'record_states' is not a campaign setting: every member detects "
+                             "events, which need its recorded states")
         unknown = set(integrator) - {f.name for f in fields(IntegratorConfig)}
         if unknown:
             raise ValueError(f"unknown integrator fields: {sorted(unknown)}")

@@ -108,10 +108,14 @@ def ising_problem(inst: IsingInstance) -> HermitianOperator:
     """Diagonal operator sum_ij J_ij sz_i sz_j + sum_i h_i sz_i."""
     spins = _spin_table(inst.n)
     diag = np.zeros(2**inst.n)
-    for i, j, J in inst.couplings:
-        diag += J * spins[i] * spins[j]
-    for i, h in inst.fields:
-        diag += h * spins[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is caught below
+        for i, j, J in inst.couplings:
+            diag += J * spins[i] * spins[j]
+        for i, h in inst.fields:
+            diag += h * spins[i]
+    if not np.isfinite(diag).all():
+        raise ValueError(f"Ising instance {inst.to_dict()} has an energy that is not finite "
+                         f"(at basis state {np.flatnonzero(~np.isfinite(diag))[0]})")
     return HermitianOperator(np.diag(diag.astype(complex)))
 
 

@@ -24,31 +24,24 @@ products of two phase tables of about K rows each. An interpolated H(t), and
 every rk4 run, walk the step grid. A Trajectory carries the H it ran under, so
 Trajectory.overlap_at(t) gives the overlap off the grid with no other input:
 the spectral sum, whose exponent (-i/hbar) w is taken once per trajectory, or
-one step of that H from a state.
+one step from a recorded state by a kernel built once per trajectory.
 
-A midpoint-exponential step [t0, t1] applies exp(-i H_k (t1 - t0)/hbar) to psi,
-where H_k is the step mean of H(t): for an interpolated H, the exact means of
-f and g over the step (the first Magnus term; Blanes, Casas, Oteo & Ros, Phys.
-Rep. 470, 151 (2009)), from one InterpolatedHamiltonian.step_terms table per
-run, which also gives each step's bound rho, (t1 - t0)/hbar times the sum of
-|weight| ||operator||_1. rho is at least the 2-norm of the exponent, since H_k
-is Hermitian. The exponential acts as a truncated Taylor series (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)) of the smallest degree m whose
-theta_m covers rho, where theta_m bounds the series tail beyond degree m by
-unit round-off, so the step is exact to round-off like an eigh; one
-searchsorted per run gives every step's degree. A step with rho > theta_20
-(about 1.46), which one series would not cover, is taken by one eigh of H_k,
-so a step costs at most 20 products or one eigh at any dt. The annealing runs
-at the default 2000 steps have rho <= 0.05: 5 to 8 products.
-
-Every step runs in one _TaylorKernel, allocated once per run: the exponent
-X_k = (dt/hbar) H_k is assembled in place from the run's weight table, the
-Krylov rows K_j = X_k K_(j-1) fill a fixed buffer, and the new state is one
-product sum_j (-i)^j/j! K_j, written straight into the states array, or into
-a ring of two rows when states are not recorded. When every term is real, as
-transverse_initial, ising_problem and shift_ground_to_zero always are, X_k is
-float64 and each complex row is multiplied as a (d, 2) real block; a complex
-term runs the same kernel in complex arithmetic.
+H becomes a step in one place, a _TaylorKernel built once per run. It stacks
+the operators as flat rows, float64 when every term is real (as
+transverse_initial, ising_problem and shift_ground_to_zero always are), and
+assembles each step's d x d matrix in place from one weight row, so no step
+samples the schedule or allocates a d x d array. A midpoint-exponential step
+[t0, t1] applies exp(-i H_k (t1 - t0)/hbar), with H_k the exact means of f
+and g over the step (the first Magnus term; Blanes, Casas, Oteo & Ros, Phys.
+Rep. 470, 151 (2009)) from one InterpolatedHamiltonian.step_terms table per
+run, as the Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)) of the smallest degree m whose theta_m covers rho = (t1 - t0)/hbar *
+sum |weight| ||operator||_1 >= ||exponent||_2; theta_m bounds the tail beyond
+degree m by unit round-off, so the step is exact to round-off. A step past
+theta_20 (about 1.46) is one eigh, so a step costs at most 20 products or one
+eigh at any dt; annealing runs at the default 2000 steps take 5 to 8. Each
+rk4 stage takes H(t) from one InterpolatedHamiltonian.terms table per run. A
+real matrix multiplies each complex state as a (d, 2) float block.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
@@ -61,6 +54,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -213,11 +207,16 @@ class Trajectory:
         """(-i/hbar) w of a closed-form trajectory, taken once for every overlap_at."""
         return (-1j / self.hbar) * self.spectrum[0]
 
+    @functools.cached_property
+    def _kernel(self) -> _TaylorKernel:
+        """The step kernel of self.hamiltonian, built once for every overlap_at."""
+        return _TaylorKernel(self.hamiltonian, self.hbar)
+
     def overlap_at(self, t: float) -> complex:
         """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
         trajectory, or one midpoint-exponential step [t_k, t] of self.hamiltonian
-        from the nearest earlier recorded state (unitary, so safe whatever the
-        method)."""
+        by self._kernel from the nearest earlier recorded state (unitary, so safe
+        whatever the method)."""
         if self.spectrum is not None:
             c = self.spectrum[2]
             return np.vdot(np.exp(t * self._spectral_exponent) * c, c)
@@ -225,10 +224,8 @@ class Trajectory:
         tk = self.times[k]
         psi = self.states[k]
         if t > tk + 1e-15:
-            weights, ops, rho = _step_rule(self.hamiltonian, np.array([tk]), np.array([t]),
-                                           self.hbar)
-            M = (weights[0] @ ops).reshape(len(psi), -1)
-            psi = _step_midpoint(M, psi, t - tk, self.hbar, rho[0])
+            rows, _, degrees = self._kernel.steps(np.array([tk, t]), t - tk)
+            psi = self._kernel.apply(rows[0], psi, degrees[0], np.empty(len(psi), complex))
         return np.vdot(psi, self.initial_state.amplitudes)
 
 
@@ -246,51 +243,58 @@ def _check_phase(phase: float, horizon: float) -> None:
                                f"floor {FLOAT_FLOOR:g}; shorten the horizon", time=float(horizon))
 
 
-def _step_rule(h, t0, t1, hbar):
-    """The step Hamiltonians of steps [t0, t1] from one h.step_terms table (a
-    fixed H: weight 1): a weight table W, steps x terms, over the operators
-    stacked as rows of ops, so that step k's Hamiltonian is W[k] @ ops as a
-    flat d*d row; and rho_k = (t1 - t0)/hbar * sum |weight| ||operator||_1 >=
-    ||exponent||_2. W and ops are float64 when every operator's imaginary part
-    is exactly zero, so each step runs in real arithmetic; otherwise both are
-    complex."""
-    pairs = (h.step_terms(t0, t1) if isinstance(h, InterpolatedHamiltonian)
-             else [(np.ones_like(t0), h)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = (t1 - t0) / hbar * sum(np.abs(w) * np.linalg.norm(op.entries, 1) for w, op in pairs)
-    bad = np.flatnonzero(~(rho < math.inf))  # NaN fails this test too
-    if bad.size:
-        raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho[bad[0]]} at t = "
-                               f"{t0[bad[0]]:.9g} is not finite", time=float(t0[bad[0]]))
-    ops = np.array([op.entries.ravel() for _, op in pairs])
-    if not np.any(ops.imag):
-        ops = np.ascontiguousarray(ops.real)
-    weights = np.column_stack([w for w, _ in pairs]).astype(ops.dtype)
-    return weights, ops, rho
-
-
-def _taylor_degree(rho):
-    """The smallest degree m whose theta_m covers rho, elementwise; a rho past
-    theta_20 gets len(_THETA) + 1, which _TaylorKernel.apply takes by eigh."""
-    return np.searchsorted(_THETA, rho) + 1
-
-
 class _TaylorKernel:
-    """exp(-i X) psi for Hermitian exponents X of one dimension and dtype, in
-    preallocated buffers. The degree-m Taylor series is one product of the
-    fixed coefficients c_j = (-i)^j / j! with the Krylov rows K_0 = psi, K_j =
-    X K_(j-1); a degree past _THETA takes one eigh of X instead. A real X
-    multiplies each complex row as a (d, 2) float block, one real product in
-    place of a complex matrix-vector product."""
+    """The one place H becomes a step, built once per run of h. The operators
+    of h are stacked as flat rows, float64 when every imaginary part is
+    exactly zero, so a weight row w gives X = w @ rows, assembled in place as
+    a d x d matrix. apply takes exp(-i X) psi as the Taylor series of the
+    step's degree, one product of the coefficients c_j = (-i)^j / j! with the
+    Krylov rows K_0 = psi, K_j = X K_(j-1), or by one eigh of X past _THETA;
+    product gives X psi. A real X multiplies each complex row as a (d, 2)
+    float block, one real product in place of a complex one."""
 
-    def __init__(self, dim, dtype):
-        self.exponent = np.empty((dim, dim), dtype)  # X, which callers fill in place
-        self.rows = np.empty((len(_SERIES), dim), complex)
-        self._blocks = (self.rows.view(float).reshape(len(_SERIES), dim, 2)
-                        if dtype == float else self.rows)
+    def __init__(self, h, hbar):
+        self.h, self.hbar = h, hbar
+        ops = (h.initial, h.problem) if isinstance(h, InterpolatedHamiltonian) else (h,)
+        self.norms = [np.linalg.norm(op.entries, 1) for op in ops]
+        self.ops = np.array([op.entries.ravel() for op in ops])
+        if not np.any(self.ops.imag):
+            self.ops = np.ascontiguousarray(self.ops.real)
+        self.exponent = np.empty((h.dim, h.dim), self.ops.dtype)
+        self._flat = self.exponent.reshape(-1)  # the exponent as the row w @ ops fills
+        self.rows = np.empty((len(_SERIES), h.dim), complex)
+        self._blocks = (self.rows.view(float).reshape(len(_SERIES), h.dim, 2)
+                        if self.ops.dtype == float else self.rows)
 
-    def apply(self, psi, degree, out):
-        """out = exp(-i X) psi, X = self.exponent, at the given Taylor degree."""
+    def steps(self, times, dt):
+        """The steps between consecutive times, each taken over dt: weight rows
+        of their exponents (dt/hbar) H_k, with H_k the exact step means of
+        h.step_terms (a fixed H: weight 1); the bounds rho_k = (t1 - t0)/hbar *
+        sum |weight| ||operator||_1 >= ||exponent||_2; and the smallest degrees
+        m whose theta_m covers rho_k, where len(_THETA) + 1 means apply's eigh."""
+        t0, t1 = times[:-1], times[1:]
+        weights = ([w for w, _ in self.h.step_terms(t0, t1)]
+                   if isinstance(self.h, InterpolatedHamiltonian) else [np.ones_like(t0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = (t1 - t0) / self.hbar * sum(np.abs(w) * n for w, n in zip(weights, self.norms))
+        bad = np.flatnonzero(~(rho < math.inf))  # NaN fails this test too
+        if bad.size:
+            raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho[bad[0]]} at t = "
+                                   f"{t0[bad[0]]:.9g} is not finite", time=float(t0[bad[0]]))
+        rows = np.column_stack(weights).astype(self.ops.dtype)
+        rows *= dt / self.hbar
+        return rows, rho, (np.searchsorted(_THETA, rho) + 1).tolist()
+
+    def points(self, t):
+        """Weight rows of H(t) itself at the times t, of any shape: the h.terms
+        envelopes (a fixed H: weight 1), on a last axis."""
+        if isinstance(self.h, InterpolatedHamiltonian):
+            return np.stack([e for e, _ in self.h.terms(t)], axis=-1).astype(self.ops.dtype)
+        return np.broadcast_to(np.ones(1, self.ops.dtype), np.shape(t) + (1,))
+
+    def apply(self, row, psi, degree, out):
+        """out = exp(-i X) psi, X = row @ ops, at the given Taylor degree."""
+        np.dot(row, self.ops, out=self._flat)
         X = self.exponent
         if degree > len(_THETA):
             w, V = np.linalg.eigh(X)
@@ -302,24 +306,12 @@ class _TaylorKernel:
             np.matmul(X, blocks[j - 1], out=blocks[j])
         return np.dot(_SERIES[:degree + 1], self.rows[:degree + 1], out=out)
 
-
-def _step_midpoint(M, psi, dt, hbar, rho):
-    """One unitary step exp(-i M dt / hbar) |psi> by a _TaylorKernel in M's
-    dtype: the Taylor series, or one eigh when rho, a bound on ||M||_2 dt/hbar,
-    is past the series table."""
-    kernel = _TaylorKernel(len(psi), M.dtype)
-    np.multiply(M, dt / hbar, out=kernel.exponent)
-    return kernel.apply(psi, int(_taylor_degree(rho)), np.empty(len(psi), complex))
-
-
-def _step_rk4(h, psi, t, dt, hbar):
-    matrix = h.matrix if isinstance(h, InterpolatedHamiltonian) else lambda t: h.entries
-    deriv = lambda t, psi: (-1j / hbar) * (matrix(t) @ psi)
-    k1 = deriv(t, psi)
-    k2 = deriv(t + dt / 2.0, psi + (dt / 2.0) * k1)
-    k3 = deriv(t + dt / 2.0, psi + (dt / 2.0) * k2)
-    k4 = deriv(t + dt, psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def product(self, row, psi):
+        """X psi, X = row @ ops, in a buffer the next call overwrites."""
+        np.dot(row, self.ops, out=self._flat)
+        self.rows[0] = psi
+        np.matmul(self.exponent, self._blocks[0], out=self._blocks[1])
+        return self.rows[1]
 
 
 def _norm_error(norm, t, tolerance) -> IntegrationError:
@@ -379,6 +371,9 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     nsteps = cfg.resolve_steps(horizon)
     dt = horizon / nsteps
     hbar = cfg.hbar
+    if dt < sys.float_info.min:  # a subnormal dt has lost its digits before any step
+        raise ValueError(f"step dt = {dt:g} at hbar = {hbar:g} is below the smallest normal "
+                         f"float {sys.float_info.min:g}; use larger time units")
     times = np.arange(nsteps + 1) * dt
 
     # normalize exactly once; this vector is the reference phi0 throughout
@@ -405,20 +400,24 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     if cfg.method == "midpoint-exponential" and not interp:
         spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, times, cfg)
     else:
+        kernel = _TaylorKernel(h, hbar)
         if cfg.method == "midpoint-exponential":
-            weights, ops, rho = _step_rule(h, times[:-1], times[1:], hbar)
+            rows, rho, degrees = kernel.steps(times, dt)
             _check_phase(float(np.sum(rho)), horizon)
-            weights *= dt / hbar  # step k's exponent X_k = weights[k] @ ops, assembled in place
-            degrees = _taylor_degree(rho).tolist()
-            kernel = _TaylorKernel(h.dim, ops.dtype)
-            exponent = kernel.exponent.reshape(-1)
 
             def step(k, psi, out):
-                np.dot(weights[k], ops, out=exponent)
-                kernel.apply(psi, degrees[k], out)
-        else:
+                kernel.apply(rows[k], psi, degrees[k], out)
+        else:  # H(t) at each step's stages t_k, t_k + dt/2 and t_k + dt
+            stages = kernel.points(times[:-1, None] + np.array([0.0, dt / 2.0, dt]))
+            deriv = lambda row, psi: (-1j / hbar) * kernel.product(row, psi)
+
             def step(k, psi, out):
-                out[:] = _step_rk4(h, psi, times[k], dt, hbar)
+                start, mid, end = stages[k]
+                k1 = deriv(start, psi)
+                k2 = deriv(mid, psi + (dt / 2.0) * k1)
+                k3 = deriv(mid, psi + (dt / 2.0) * k2)
+                k4 = deriv(end, psi + dt * k3)
+                out[:] = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         overlaps = np.empty(nsteps + 1, dtype=complex)
         # every grid state when recording, else a ring of two: step k reads row
         # k and writes row k + 1, modulo the ring

@@ -163,7 +163,11 @@ class TestVerify:
         ({"kind": "gue-ensemble", "parameters": {"dim": "2", "seeds": [0]}}, "dim"),
         ({"kind": "gue-ensemble", "parameters": {"dim": 2, "seeds": [0]},
           "integrator": {"record_states": "no"}}, "record_states"),
-    ], ids=["unknown-integrator-key", "mistyped-parameter", "string-record-states"])
+        ({"kind": "qac-ising", "parameters": {"instance": {"n": 1, "fields": [[0, -0.5]]},
+                                              "T_values": [1.0, 4.0]},
+          "integrator": {"steps": 50, "record_states": False}}, "record_states"),
+    ], ids=["unknown-integrator-key", "mistyped-parameter", "string-record-states",
+            "qac-record-states"])
     def test_campaign_type_errors_exit_2(self, tmp_path, capsys, campaign, field):
         campaign_path = tmp_path / "campaign.json"
         campaign_path.write_text(json.dumps(campaign))
@@ -333,6 +337,15 @@ class TestQac:
         err = capfd.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: integration failed")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ising_energy_prints_only_the_error(self, tmp_path, capfd):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "fields": [[0, 1e308], [1, 1e308]]}))
+        rc = main(["qac", "--instance", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: Ising instance")
+
     def test_astronomical_T_returns_promptly(self, tmp_path):
         # phases of ~1e300 carry no significant digits, so the run is
         # rejected before its first step
@@ -402,6 +415,19 @@ class TestDecay:
                                 "--out", str(tmp_path), *FAST])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--two-level", "--hbar", "1e-320"],
+        ["ensemble", "--dim", "2", "--seeds", "0..2", "--hbar", "5e-324"],
+    ], ids=["decay", "ensemble"])
+    def test_subnormal_step_rejected(self, tmp_path, capfd, argv):
+        # at these hbar the step dt is below the smallest normal float
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: step dt = ") and "hbar" in err
 
     def test_report_matches_the_ensemble_member(self, tmp_path):
         # decay and ensemble share one time-independent recipe

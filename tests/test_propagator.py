@@ -21,7 +21,7 @@ from qspeedlim.algebra import (
     variance_sqrt,
 )
 from qspeedlim.bounds import char_times_ti, check_inequalities, state_moments
-from qspeedlim.events import first_antipodal, first_orthogonal
+from qspeedlim.events import EventQuery, first_antipodal, first_orthogonal
 from qspeedlim.hamiltonians import (
     InterpolatedHamiltonian,
     IsingInstance,
@@ -413,6 +413,13 @@ def step_mean_matrix(h, t0, t1):
     return mean(h.schedule.f) * h.initial.entries + mean(h.schedule.g) * h.problem.entries
 
 
+def kernel_step(H, psi, dt):
+    """One step exp(-i H dt) |psi> of a fixed H by its _TaylorKernel."""
+    kernel = propagate._TaylorKernel(H, 1.0)
+    rows, _, degrees = kernel.steps(np.array([0.0, dt]), dt)
+    return kernel.apply(rows[0], psi, degrees[0], np.empty(len(psi), complex))
+
+
 def eigh_step(h, psi, t, dt, hbar):
     """The midpoint-exponential step that the Taylor action replaced: one
     eigh of the step's Hamiltonian per step."""
@@ -489,9 +496,9 @@ class TestTaylorStepAgainstEigh:
         np.testing.assert_allclose(traj.final_state.amplitudes, states[-1], atol=1e-12)
 
         got = [detect(traj) for detect in (first_orthogonal, first_antipodal)]
-        # the oracle refines from its own grid states with its own step
-        monkeypatch.setattr(propagate, "_step_midpoint",
-                            lambda M, psi, dt, hbar, rho: eigh_action(M, psi, dt, hbar))
+        # the oracle refines from its own grid states, each off-grid step by
+        # the kernel's eigh branch: with no theta table no series covers a step
+        monkeypatch.setattr(propagate, "_THETA", [])
         looped = dataclasses.replace(traj, overlaps=overlaps, states=states)
         want = [detect(looped) for detect in (first_orthogonal, first_antipodal)]
         assert [g.triggered for g in got] == [w.triggered for w in want]
@@ -505,18 +512,18 @@ class TestTaylorStepAgainstEigh:
         dt = 1.01 * propagate._THETA[-1] / np.linalg.norm(H.entries, 1)
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-        rho = dt * np.linalg.norm(H.entries, 1)
-        whole = propagate._step_midpoint(H.entries, psi, dt, 1.0, rho)
+        whole = kernel_step(H, psi, dt)
         assert len(calls) == 1
-        half = propagate._step_midpoint(H.entries, psi, dt / 2.0, 1.0, rho / 2.0)
-        halves = propagate._step_midpoint(H.entries, half, dt / 2.0, 1.0, rho / 2.0)
+        half = kernel_step(H, psi, dt / 2.0)
+        halves = kernel_step(H, half, dt / 2.0)
         assert len(calls) == 1
         assert np.max(np.abs(whole - halves)) <= 1e-12
 
     @pytest.mark.parametrize("past_table", [False, True], ids=["taylor", "eigh"])
     def test_real_and_complex_exponents_agree(self, past_table, monkeypatch):
-        # a real H runs the kernel in float64 blocks; the same matrix cast to
-        # complex runs it in complex arithmetic
+        # a real H runs the kernel in float64 blocks; D H D^dagger, D diagonal
+        # phases, has complex entries, the same spectrum and the same 1-norm,
+        # and runs it in complex arithmetic
         M = _annealer(_chain(6), 16.0).matrix(8.0)
         assert not np.any(M.imag)
         M = M.real.copy()
@@ -525,8 +532,9 @@ class TestTaylorStepAgainstEigh:
         dt = rho_max / np.linalg.norm(M, 1)
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.dtype) or eigh(a))
-        real = propagate._step_midpoint(M, psi, dt, 1.0, rho_max)
-        cplx = propagate._step_midpoint(M.astype(complex), psi, dt, 1.0, rho_max)
+        D = np.exp(1j * np.linspace(0.0, 3.0, len(M)))
+        real = kernel_step(HermitianOperator(M), psi, dt)
+        cplx = D.conj() * kernel_step(HermitianOperator(D[:, None] * M * D.conj()), D * psi, dt)
         assert calls == ([np.dtype(float), np.dtype(complex)] if past_table else [])
         assert np.max(np.abs(real - cplx)) <= 1e-14
 
@@ -544,13 +552,28 @@ class TestTaylorStepAgainstEigh:
                             (InterpolatedHamiltonian, "matrix"), (InterpolatedHamiltonian, "terms")):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         ih, psi0 = _annealer(_chain(3), 4.0), StateVector.uniform(8)
-        counts = []
-        for steps in (500, 2000):
-            calls.clear()
-            evolve(ih, psi0, 4.0, cfg=IntegratorConfig(steps=steps))
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        assert sum(counts[1].values()) <= 10
+        for method in ("midpoint-exponential", "rk4"):
+            counts = []
+            for steps in (500, 2000):
+                calls.clear()
+                evolve(ih, psi0, 4.0, cfg=IntegratorConfig(method=method, steps=steps))
+                counts.append(dict(calls))
+            assert counts[0] == counts[1]
+            assert sum(counts[1].values()) <= 10
+
+    def test_refinement_builds_one_kernel(self, monkeypatch):
+        # every off-grid step of a trajectory goes through one cached kernel
+        traj = evolve(_annealer(_chain(3), 4.0), StateVector.uniform(8), 4.0)
+        builds, init = [], propagate._TaylorKernel.__init__
+        monkeypatch.setattr(propagate._TaylorKernel, "__init__",
+                            lambda self, *args: builds.append(1) or init(self, *args))
+        evaluations = []
+        overlap_at = propagate.Trajectory.overlap_at
+        monkeypatch.setattr(propagate.Trajectory, "overlap_at",
+                            lambda self, t: evaluations.append(t) or overlap_at(self, t))
+        first_orthogonal(traj, EventQuery("orthogonal", coarse_threshold=1.0))
+        assert len(evaluations) >= 10
+        assert len(builds) <= 1
 
     def test_no_eigh_in_steps_or_refinement(self, monkeypatch):
         # H(t) = (1 - tau) gap + tau gap = gap reaches orthogonality at pi
