@@ -1,15 +1,16 @@
 """Integrator diagnostics: exactness, convergence orders, and norm drift.
 
-The midpoint-exponential stepper applies exp(-i H dt/hbar), with H taken at
-the step midpoint, as a Taylor series of matrix-vector products truncated at
-round-off; only a step too coarse for one series of at most 20 terms
-diagonalizes H instead. For a time-independent Hamiltonian that IS the
-propagator (solved in closed form from one eigh), so the step error sits at
-round-off and the order probe reports "exact". On an interpolated
-Hamiltonian it is a second-order method that stays unitary per step to
-round-off; rk4 converges at fourth order but lets the norm drift. The script measures all of this on the single-qubit
-projector interpolation and prints the step-halving table behind the
-order-2 claim.
+The midpoint-exponential stepper applies exp(-i H dt/hbar), with H the exact
+mean of the schedule envelopes over the step, as a Taylor series of
+matrix-vector products truncated at round-off; only a step too coarse for
+one series of at most 20 terms diagonalizes H instead. For a
+time-independent Hamiltonian that IS the propagator (solved in closed form
+from one eigh), so the step error sits at round-off and the order probe
+reports "exact". On an interpolated Hamiltonian it is a second-order method
+that stays unitary per step to round-off; rk4 converges at fourth order but
+lets the norm drift. The script measures all of this on the single-qubit
+projector interpolation and prints the step-halving table behind the order-2
+claim.
 """
 
 import numpy as np

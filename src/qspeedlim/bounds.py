@@ -38,7 +38,11 @@ class MomentPair:
 
 
 def state_moments(op: HermitianOperator, s: StateVector) -> MomentPair:
-    return MomentPair(energy=expectation(op, s), spread=variance_sqrt(op, s))
+    energy, spread = expectation(op, s), variance_sqrt(op, s)
+    if not (math.isfinite(energy) and math.isfinite(spread)):  # <op^2> past the float range
+        raise ValueError(f"the operator's moments in the state overflow: energy {energy!r}, "
+                         f"spread {spread!r}")
+    return MomentPair(energy=energy, spread=spread)
 
 
 @dataclass(frozen=True)

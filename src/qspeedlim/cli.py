@@ -294,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon-mult", type=float, default=4.0)
     p.set_defaults(handler=_cmd_entangle)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="summarize an existing results directory")
+    p = sub.add_parser("report", help="summarize an existing results directory")
     p.add_argument("results_dir")
     p.set_defaults(handler=_cmd_report)
 

@@ -95,8 +95,6 @@ def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, function
     q = q if q is not None else EventQuery(kind=kind)
     if q.kind != kind:
         raise ValueError(f"query kind {q.kind!r} does not match first_{kind}")
-    if not traj.resolves_off_grid:
-        raise ValueError("event detection needs recorded states or a closed-form spectrum")
     samples = functional(traj.overlaps)
     n = len(samples) - 1
 

@@ -43,6 +43,11 @@ eigh at any dt; annealing runs at the default 2000 steps take 5 to 8. Each
 rk4 stage takes H(t) from one InterpolatedHamiltonian.terms table per run. A
 real matrix multiplies each complex state as a (d, 2) float block.
 
+evolve runs with numpy's overflow and invalid warnings off: a check reports
+every inf or NaN, where it becomes certain. Each policy's phase factor and
+integrand read only the grid, beta and H(t) phi0, so they are checked before
+any step; then the step bounds, the largest phase and each state's norm.
+
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 """
 
@@ -197,11 +202,6 @@ class Trajectory:
         """Check allowance for one policy: 10*dt*(max integrand) + hbar*float_floor."""
         return 10.0 * self.dt * self.integrand_max[label] + self.hbar * self.float_floor
 
-    @property
-    def resolves_off_grid(self) -> bool:
-        """Whether overlap_at can serve: recorded states or a closed-form spectrum."""
-        return self.states is not None or self.spectrum is not None
-
     @functools.cached_property
     def _spectral_exponent(self) -> np.ndarray:
         """(-i/hbar) w of a closed-form trajectory, taken once for every overlap_at."""
@@ -216,10 +216,12 @@ class Trajectory:
         """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
         trajectory, or one midpoint-exponential step [t_k, t] of self.hamiltonian
         by self._kernel from the nearest earlier recorded state (unitary, so safe
-        whatever the method)."""
+        whatever the method), which a step loop run without record_states lacks."""
         if self.spectrum is not None:
             c = self.spectrum[2]
             return np.vdot(np.exp(t * self._spectral_exponent) * c, c)
+        if self.states is None:
+            raise ValueError("an off-grid overlap needs recorded states or a closed-form spectrum")
         k = min(int(t / self.dt), len(self.times) - 1)
         tk = self.times[k]
         psi = self.states[k]
@@ -275,8 +277,7 @@ class _TaylorKernel:
         t0, t1 = times[:-1], times[1:]
         weights = ([w for w, _ in self.h.step_terms(t0, t1)]
                    if isinstance(self.h, InterpolatedHamiltonian) else [np.ones_like(t0)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho = (t1 - t0) / self.hbar * sum(np.abs(w) * n for w, n in zip(weights, self.norms))
+        rho = (t1 - t0) / self.hbar * sum(np.abs(w) * n for w, n in zip(weights, self.norms))
         bad = np.flatnonzero(~(rho < math.inf))  # NaN fails this test too
         if bad.size:
             raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho[bad[0]]} at t = "
@@ -346,6 +347,7 @@ def _closed_form(H, phi0, times, cfg):
     return (w, V, c), overlaps, V @ (coarse[a] * fine[b]), float(devs.max())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a check below reports every inf or NaN
 def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = None,
            betas=(BetaPolicy.zero(),)) -> Trajectory:
     """Propagate psi0 under h for the given horizon, recording observables.
@@ -387,14 +389,27 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         residual_base, grid = functools.reduce(operator.iadd, rows), slice(None)
     else:  # H and every beta a fixed H admits are constant: one row serves the grid
         residual_base, grid = (h.entries @ phi0)[None, :], slice(1)
-    # a huge beta or H overflows these to inf or NaN, which the finiteness check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrands = {label: np.broadcast_to(np.linalg.norm(
-                          residual_base - bvals[grid, None] * phi0[None, :], axis=1), times.shape)
-                      for label, bvals in beta_grids.items()}
-        rhs_integrals = {label: cumulative_trapezoid(v, dt) for label, v in integrands.items()}
-        beta_accum = {label: cumulative_trapezoid(v, dt) for label, v in beta_grids.items()}
-    integrand_max = {label: float(np.max(v)) for label, v in integrands.items()}
+    # each policy's phase factor exp(-i/hbar int_0^t beta) and integrand, before any step
+    rotations, rhs_integrals, integrand_max = {}, {}, {}
+    for label, bvals in beta_grids.items():
+        phase = cumulative_trapezoid(bvals, dt)
+        rotations[label] = rotation = -1j * phase  # exp(-i phase/hbar), formed in place
+        np.exp(np.divide(rotation, hbar, out=rotation), out=rotation)
+        rotation[phase == 0.0] = 1.0  # even where 1/hbar overflows to inf
+        bad = np.flatnonzero(~np.isfinite(rotation))  # not a bound violation
+        if bad.size:
+            t = times[bad[0]]
+            raise IntegrationError(f"beta policy {label!r}: distance not finite at t = {t:.9g} "
+                                   f"(phase integral {phase[bad[0]]:.6g})", time=t)
+        integrand = np.broadcast_to(np.linalg.norm(
+            residual_base - bvals[grid, None] * phi0[None, :], axis=1), times.shape)
+        integrand_max[label] = float(np.max(integrand))
+        if not math.isfinite(integrand_max[label]):
+            t = times[np.flatnonzero(~np.isfinite(integrand))[0]]
+            raise IntegrationError(f"beta policy {label!r}: integrand ||(H - beta) phi0|| not "
+                                   f"finite at t = {t:.9g}", time=t)
+        rhs_integrals[label] = cumulative_trapezoid(integrand, dt)
+    del residual_base  # (steps + 1) x dim under H(t), freed before the walk allocates states
 
     spectrum = states = None
     if cfg.method == "midpoint-exponential" and not interp:
@@ -424,38 +439,24 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         ring = np.empty((nsteps + 1 if cfg.record_states else 2, h.dim), dtype=complex)
         ring[0] = phi0
         norm_max_dev = 0.0
-        # an overflowing step leaves a NaN or inf norm, which the check reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(nsteps + 1):
-                psi = ring[k % len(ring)]
-                re, im = psi.real, psi.imag  # np.linalg.norm's arithmetic, without its wrapper
-                norm = math.sqrt(re.dot(re) + im.dot(im))
-                dev = abs(norm - 1.0)
-                if not dev <= cfg.norm_tolerance:  # NaN fails this test too
-                    raise _norm_error(norm, times[k], cfg.norm_tolerance)
-                norm_max_dev = max(norm_max_dev, dev)
-                overlaps[k] = np.vdot(psi, phi0)
-                if k == nsteps:
-                    break
-                step(k, psi, ring[(k + 1) % len(ring)])
+        for k in range(nsteps + 1):
+            psi = ring[k % len(ring)]
+            re, im = psi.real, psi.imag  # np.linalg.norm's arithmetic, without its wrapper
+            norm = math.sqrt(re.dot(re) + im.dot(im))
+            dev = abs(norm - 1.0)
+            if not dev <= cfg.norm_tolerance:  # NaN fails this test too
+                raise _norm_error(norm, times[k], cfg.norm_tolerance)
+            norm_max_dev = max(norm_max_dev, dev)
+            overlaps[k] = np.vdot(psi, phi0)
+            if k == nsteps:
+                break
+            step(k, psi, ring[(k + 1) % len(ring)])
         if cfg.record_states:
             states = ring
 
     survival = np.abs(overlaps) ** 2
-    distances = {}
-    for label in labels:
-        with np.errstate(invalid="ignore"):
-            phased = np.exp(-1j * beta_accum[label] / hbar) * overlaps
-        distances[label] = overlap_distance(phased)
-        bad = np.flatnonzero(~np.isfinite(distances[label]))  # not a bound violation
-        if bad.size:
-            t = times[bad[0]]
-            raise IntegrationError(f"beta policy {label!r}: distance not finite at t = {t:.9g} "
-                                   f"(phase integral {beta_accum[label][bad[0]]:.6g})", time=t)
-        if not math.isfinite(integrand_max[label]):
-            t = times[np.flatnonzero(~np.isfinite(integrands[label]))[0]]
-            raise IntegrationError(f"beta policy {label!r}: integrand ||(H - beta) phi0|| not "
-                                   f"finite at t = {t:.9g}", time=t)
+    # every state passed the norm check, so each overlap and distance is finite
+    distances = {label: overlap_distance(rotations[label] * overlaps) for label in labels}
 
     if states is not None:
         states.setflags(write=False)

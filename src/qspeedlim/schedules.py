@@ -110,6 +110,13 @@ def _checked_knots(knots) -> np.ndarray:
         if abs(got - want) > BOUNDARY_TOL:
             raise ValueError(f"schedule boundary violated: {name} = {float(got)!r}, "
                              f"expected {want}")
+    # every step weight is a difference of these integrals
+    for column, name in ((1, "f"), (2, "g")):
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the error here
+            bad = np.flatnonzero(~np.isfinite(_knot_integral(taus, table[:, column], taus)))
+        if bad.size:
+            raise ValueError(f"the integral of {name} over the knots is not finite at "
+                             f"tau = {taus[bad[0]]:g}; scale the knot values down")
     if np.any(table[:, 1] < 0):
         warnings.warn("tabulated schedule has f < 0 at some knots", stacklevel=4)
     return table
@@ -137,16 +144,21 @@ def schedule_integral(s: Schedule, upto=1.0, envelope="g"):
         raise ValueError(f"upto must lie in [0, 1], got {upto}")
     u = np.minimum(u, 1.0)
     if s.kind == "tabulated":
-        taus, vals = s.knots[:, 0], s.knots[:, 1 if envelope == "f" else 2]
-        below = np.append(0.0, np.cumsum(np.diff(taus) * (vals[1:] + vals[:-1]) / 2.0))
-        k = np.clip(np.searchsorted(taus, u, side="right") - 1, 0, len(taus) - 2)
-        out = below[k] + (u - taus[k]) * (vals[k] + np.interp(u, taus, vals)) / 2.0
+        out = _knot_integral(s.knots[:, 0], s.knots[:, 1 if envelope == "f" else 2], u)
     else:
         p = s.power if s.kind == "poly" else 1.0
         out = u ** (p + 1.0) / (p + 1.0)
         if envelope == "f":
             out = u - out
     return out if out.ndim else float(out)
+
+
+def _knot_integral(taus, vals, u):
+    """Integral from 0 to u of the piecewise-linear column vals on the knots
+    taus: the trapezoids below u plus the partial segment up to u."""
+    below = np.append(0.0, np.cumsum(np.diff(taus) * (vals[1:] + vals[:-1]) / 2.0))
+    k = np.clip(np.searchsorted(taus, u, side="right") - 1, 0, len(taus) - 2)
+    return below[k] + (u - taus[k]) * (vals[k] + np.interp(u, taus, vals)) / 2.0
 
 
 def load_schedule(path) -> Schedule:

@@ -346,6 +346,27 @@ class TestQac:
         err = capfd.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: Ising instance")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_knot_integral_is_input_error(self, instance_path, tmp_path, capfd):
+        # every knot is finite, but the trapezoid integrals of f and g overflow
+        path = tmp_path / "knots.json"
+        path.write_text(json.dumps({"kind": "tabulated",
+                                    "knots": [[0, 1, 0], [0.5, 1e308, 1e308], [1, 0, 1]]}))
+        rc = main(["qac", "--instance", str(instance_path), "--schedule", str(path),
+                   "--T", "4", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "knots" in err
+
+    def test_overflowing_moments_are_input_error(self, tmp_path, capfd):
+        # <H^2> and <H>^2 both overflow at a field of 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1, "fields": [[0, 1e308]]}))
+        rc = main(["qac", "--instance", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "moments" in err
+
     def test_astronomical_T_returns_promptly(self, tmp_path):
         # phases of ~1e300 carry no significant digits, so the run is
         # rejected before its first step
@@ -493,6 +514,12 @@ class TestReport:
         assert "runs: 4, violations: 0" in out
         assert "margin quantiles" in out
         assert "orthogonal_time" in out
+
+    def test_run_flags_rejected(self, tmp_path):
+        # report reads only the summary, so a run flag is a usage error
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--steps", "5", "--method", "rk4", "--hbar", "7", str(tmp_path)])
+        assert info.value.code == 2
 
     def test_missing_dir_exits_2(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "missing")])

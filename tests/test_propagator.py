@@ -690,6 +690,29 @@ class TestInputValidation:
                    betas=[BetaPolicy.zero(), BetaPolicy.constant(1e200)])
         assert info.value.time == 0.0
 
+    def test_doomed_run_takes_no_step(self, monkeypatch):
+        # the phase integral reads only the grid and beta, so its overflow
+        # stops the run before the first step
+        def step(*args):
+            raise AssertionError("a doomed run took a step")
+
+        monkeypatch.setattr(propagate._TaylorKernel, "apply", step)
+        with pytest.raises(IntegrationError, match="const1e\\+308"):
+            evolve(projector_annealer(T=1.0), StateVector.uniform(2), horizon=1.0,
+                   betas=[BetaPolicy.zero(), BetaPolicy.constant(1e308)])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_escapes_as_integration_error_only(self):
+        # envelopes and a field of 1e200 overflow H(t) phi0, the step table
+        # and the step bounds; numpy must not warn on the way to the error
+        ih = InterpolatedHamiltonian(
+            initial=transverse_initial(1),
+            problem=ising_problem(IsingInstance(n=1, fields=((0, 1e200),))),
+            schedule=Schedule.tabulated([[0, 1, 0], [0.5, 1e200, 1e200], [1, 0, 1]]),
+            total_time=1.0)
+        with pytest.raises(IntegrationError, match="integrand"):
+            evolve(ih, StateVector.uniform(2), horizon=1.0)
+
     def test_overflowing_step_bound_raises_integration_error(self):
         # dt/hbar overflows to inf: the step bound is not finite
         with pytest.raises(IntegrationError, match="step bound"):

@@ -72,6 +72,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             Schedule.tabulated(knots)
 
+    def test_tabulated_overflowing_integral_rejected(self):
+        # every knot is finite, but the trapezoids of f and g overflow, so no
+        # step weight could be formed; a knot of 1e200 integrates finitely
+        for column, name in ((1, "f"), (2, "g")):
+            knots = [[0.0, 1.0, 0.0], [0.5, 0.5, 0.5], [1.0, 0.0, 1.0]]
+            knots[1][column] = 1e308
+            with pytest.raises(ValueError, match=f"integral of {name} over the knots"):
+                Schedule.tabulated(knots)
+        s = Schedule.tabulated([[0.0, 1.0, 0.0], [0.5, 1e200, 1e200], [1.0, 0.0, 1.0]])
+        assert schedule_integral(s) == pytest.approx(0.5e200)
+
     def test_kind_without_exact_integral_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             Schedule("cosine")
