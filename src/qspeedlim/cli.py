@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output directory (default: ${OUT_ENV_VAR} or "
                              "./qspeedlim-results/<command>)")
     common.add_argument("--hbar", type=float, default=1.0,
-                        help="value of hbar; all quantities are relative to it")
+                        help="value of hbar, a normal float; all quantities are relative "
+                             "to it, and the numerics run in s = t/hbar")
     common.add_argument("--dt", type=float, default=None,
                         help="integrator step size (exclusive with --steps)")
     common.add_argument("--steps", type=int, default=None,

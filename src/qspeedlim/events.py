@@ -4,11 +4,13 @@ reach (distance 2 under the zero reference phase).
 
 Both events minimize a nonnegative functional of the overlap, so detection is
 a grid scan for local minima below a coarse threshold followed by
-golden-section refinement at off-grid times, where Trajectory.overlap_at gives
-the overlap under the Hamiltonian the trajectory carries (a spectral sum, or
-one short step from a recorded grid state), so no caller passes H.
-The reported bracket stops shrinking once round-off can steer the search,
-so a flat minimum reports the bracket it is known to lie in.
+golden-section refinement on the grid in s = t/hbar that the run walked, to a
+width relative to its s-horizon. Trajectory.overlap_at_s gives the overlap
+under the Hamiltonian the trajectory carries (a spectral sum, or one short
+step from a recorded grid state), so no caller passes H and no evaluation
+depends on the time unit; event times and widths leave multiplied by hbar.
+The reported bracket stops shrinking once round-off can steer the search, so
+a flat minimum reports the bracket it is known to lie in.
 """
 
 from __future__ import annotations
@@ -98,26 +100,22 @@ def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, function
     samples = functional(traj.overlaps)
     n = len(samples) - 1
 
-    f_at = lambda t: float(functional(traj.overlap_at(t)))
+    f_at = lambda s: float(functional(traj.overlap_at_s(s)))
 
     threshold = max(q.coarse_threshold, q.tolerance)
-    width_goal = traj.horizon * 1e-9
+    width_goal = n * traj.ds * 1e-9
     best = float(np.min(samples))
     # grid local minima below the threshold (the last sample needs no right neighbour)
     here = samples[1:]
     right_ok = np.append(here[:-1] <= here[1:], True)
     for k in np.flatnonzero((here <= threshold) & (here <= samples[:-1]) & right_ok) + 1:
-        a, b = traj.times[k - 1], traj.times[min(k + 1, n)]
-        t_min, f_min, width, _ = _golden_min(f_at, a, b, q.refine_iterations, width_goal, ROUNDOFF)
+        a, b = (k - 1) * traj.ds, min(k + 1, n) * traj.ds
+        s_min, f_min, width, _ = _golden_min(f_at, a, b, q.refine_iterations, width_goal, ROUNDOFF)
         best = min(best, f_min)
         if f_min <= q.tolerance:
-            return EventResult(
-                triggered=True,
-                time=float(t_min),
-                bracket_width=float(width),
-                functional_value=float(f_min),
-                kind=q.kind,
-            )
+            return EventResult(triggered=True, time=float(s_min * traj.hbar),
+                               bracket_width=float(width * traj.hbar),
+                               functional_value=float(f_min), kind=q.kind)
 
     note = None
     if q.kind == "orthogonal" and q.tolerance < best <= NEAR_MISS_CEILING:
@@ -126,14 +124,8 @@ def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, function
             f"{NEAR_MISS_CEILING:g}; the step grid may have missed a narrower crossing"
         )
         _log.warning(note)
-    return EventResult(
-        triggered=False,
-        time=None,
-        bracket_width=None,
-        functional_value=float(best),
-        kind=q.kind,
-        note=note,
-    )
+    return EventResult(triggered=False, time=None, bracket_width=None,
+                       functional_value=float(best), kind=q.kind, note=note)
 
 
 def first_orthogonal(traj: Trajectory, q: EventQuery | None = None) -> EventResult:

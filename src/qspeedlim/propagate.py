@@ -1,51 +1,55 @@
 """Schrodinger-equation integration with full observable recording.
 
-The integrator propagates i*hbar d|psi>/dt = H(t)|psi> and records, at every
-step boundary, the overlap with the start state, the survival probability,
-and for each reference-phase policy beta(t) the Hilbert-space distance
+The numerics run in s = t/hbar, where i*hbar d|psi>/dt = H(t)|psi> reads
+i d|psi>/ds = H|psi>. At every step boundary they record the overlap with the
+start state, the survival probability, and for each reference-phase policy
+beta the distance d = sqrt(2 - 2 Re(exp(-i int_0^s beta) <psi|phi0>)) (the map
+is algebra.overlap_distance) and the right-hand-side integral
 
-    d(t, beta) = sqrt(2 - 2 Re(exp(-i/hbar * int_0^t beta) <psi(t)|phi0>))
+    int_0^t ||(H(tau) - beta(tau)) |phi0>|| dtau = hbar int_0^s ||(H - beta) |phi0>|| ds,
 
-(the map is algebra.overlap_distance) and the right-hand-side integral
+so the relation hbar d <= rhs reads d <= int_0^s ||(H - beta) |phi0>|| ds.
+evolve is the one unit boundary: it divides the horizon and an interpolation
+time T by hbar, a normal float, and needs ds = dt/hbar finite and normal.
+Grid times, rhs integrals, event times and error times leave multiplied by
+hbar. Nothing between reads hbar, so a run at (lambda t, lambda hbar) walks
+the s grid of the run at (t, hbar).
 
-    int_0^t ||(H(tau) - beta(tau)) |phi0>|| dtau.
-
-The two integrals are trapezoid sums on the step grid. The reference state is
-never integrated separately; its effect is the scalar phase above. Under a
-fixed H every beta is constant, so the integrand is one norm per policy,
-broadcast over the grid.
+Both integrals are trapezoid sums on the step grid; the reference state enters
+only through the scalar phase above. Under a fixed H every beta is constant,
+so the integrand is one norm per policy, broadcast over the grid.
 
 A fixed H = V diag(w) V^dagger under midpoint-exponential is solved in closed
-form from one eigh: with c = V^dagger phi0, <psi(t)|phi0> = sum_j |c_j|^2
-exp(+i w_j t/hbar), and the trajectory keeps (w, V, c) instead of states. On
-the grid t_k = (aK + b) dt, K = ceil(sqrt(steps + 1)), the phase is a coarse
-factor at t_aK times a fine one at t_b, so the grid's overlaps and norms are
+form from one eigh: with c = V^dagger phi0, <psi(s)|phi0> = sum_j |c_j|^2
+exp(+i w_j s), and the trajectory keeps (w, V, c) instead of states. On the
+grid s_k = (aK + b) ds, K = ceil(sqrt(steps + 1)), the phase is a coarse
+factor at s_aK times a fine one at s_b, so the grid's overlaps and norms are
 products of two phase tables of about K rows each. An interpolated H(t), and
 every rk4 run, walk the step grid. A Trajectory carries the H it ran under, so
 Trajectory.overlap_at(t) gives the overlap off the grid with no other input:
-the spectral sum, whose exponent (-i/hbar) w is taken once per trajectory, or
-one step from a recorded state by a kernel built once per trajectory.
+the spectral sum, or one step from a recorded state by a kernel built once
+per trajectory.
 
 H becomes a step in one place, a _TaylorKernel built once per run. It stacks
 the operators as flat rows, float64 when every term is real (as
 transverse_initial, ising_problem and shift_ground_to_zero always are), and
 assembles each step's d x d matrix in place from one weight row, so no step
 samples the schedule or allocates a d x d array. A midpoint-exponential step
-[t0, t1] applies exp(-i H_k (t1 - t0)/hbar), with H_k the exact means of f
-and g over the step (the first Magnus term; Blanes, Casas, Oteo & Ros, Phys.
-Rep. 470, 151 (2009)) from one InterpolatedHamiltonian.step_terms table per
-run, as the Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)) of the smallest degree m whose theta_m covers rho = (t1 - t0)/hbar *
-sum |weight| ||operator||_1 >= ||exponent||_2; theta_m bounds the tail beyond
-degree m by unit round-off, so the step is exact to round-off. A step past
-theta_20 (about 1.46) is one eigh, so a step costs at most 20 products or one
-eigh at any dt; annealing runs at the default 2000 steps take 5 to 8. Each
-rk4 stage takes H(t) from one InterpolatedHamiltonian.terms table per run. A
-real matrix multiplies each complex state as a (d, 2) float block.
+[s0, s1] applies exp(-i H_k (s1 - s0)), with H_k the exact means of f and g
+over the step (the first Magnus term; Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 151 (2009)) from one InterpolatedHamiltonian.step_terms table per run,
+as the Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))
+of the smallest degree m whose theta_m covers rho = (s1 - s0) * sum |weight|
+||operator||_1 >= ||exponent||_2; theta_m bounds the tail beyond degree m by
+unit round-off, so the step is exact to round-off. A step past theta_20
+(about 1.46) is one eigh, so a step costs at most 20 products or one eigh at
+any ds; annealing runs at the default 2000 steps take 5 to 8. Each rk4 stage
+takes H(s) from one InterpolatedHamiltonian.terms table per run. A real
+matrix multiplies each complex state as a (d, 2) float block.
 
 evolve runs with numpy's overflow and invalid warnings off: a check reports
 every inf or NaN, where it becomes certain. Each policy's phase factor and
-integrand read only the grid, beta and H(t) phi0, so they are checked before
+integrand read only the grid, beta and H(s) phi0, so they are checked before
 any step; then the step bounds, the largest phase and each state's norm.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
@@ -86,7 +90,7 @@ _CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the traj
 
 
 class IntegrationError(RuntimeError):
-    """Norm drift exceeded tolerance; `time` holds the offending instant."""
+    """A run whose numbers cannot be trusted; `time` holds the offending instant t."""
 
     def __init__(self, message, time=None):
         super().__init__(message)
@@ -111,15 +115,20 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (value is None and name == "dt" or is_number(value) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not self.hbar >= sys.float_info.min:  # below it, s = t/hbar has lost digits
+            raise ValueError(f"hbar must be a normal float (>= {sys.float_info.min:.2g}), "
+                             f"got {self.hbar!r}")
         if not (self.steps is None or is_number(self.steps, numbers.Integral) and self.steps >= 1):
             raise ValueError(f"steps must be an integer of at least 1, got {self.steps!r}")
         if not isinstance(self.record_states, bool):
             raise ValueError(f"record_states must be true or false, got {self.record_states!r}")
 
     def resolve_steps(self, horizon: float) -> int:
-        if self.dt is not None:
-            return max(1, math.ceil(horizon / self.dt))
-        return self.steps if self.steps is not None else DEFAULT_STEPS
+        if self.dt is None:
+            return self.steps if self.steps is not None else DEFAULT_STEPS
+        if not horizon / self.dt < math.inf:
+            raise ValueError(f"horizon {horizon:g} / dt {self.dt:g} is not a finite step count")
+        return max(1, math.ceil(horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -184,13 +193,17 @@ class Trajectory:
     states: np.ndarray | None  # grid states of a step loop with record_states
     spectrum: tuple | None  # (w, V, c) of a fixed H solved in closed form
     method: str
-    dt: float
+    ds: float  # the step in s = t/hbar that the run walked
     hbar: float
     norm_max_dev: float
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
+
+    @property
+    def dt(self) -> float:
+        return self.ds * self.hbar
 
     @property
     def float_floor(self) -> float:
@@ -203,30 +216,29 @@ class Trajectory:
         return 10.0 * self.dt * self.integrand_max[label] + self.hbar * self.float_floor
 
     @functools.cached_property
-    def _spectral_exponent(self) -> np.ndarray:
-        """(-i/hbar) w of a closed-form trajectory, taken once for every overlap_at."""
-        return (-1j / self.hbar) * self.spectrum[0]
-
-    @functools.cached_property
     def _kernel(self) -> _TaylorKernel:
-        """The step kernel of self.hamiltonian, built once for every overlap_at."""
-        return _TaylorKernel(self.hamiltonian, self.hbar)
+        """The step kernel of self.hamiltonian, built once for every overlap_at_s."""
+        return _TaylorKernel(_in_s(self.hamiltonian, self.hbar))
 
     def overlap_at(self, t: float) -> complex:
-        """<psi(t)|phi0> at an off-grid time: the spectral sum of a closed-form
-        trajectory, or one midpoint-exponential step [t_k, t] of self.hamiltonian
+        """<psi(t)|phi0> at an off-grid time t: overlap_at_s(t / hbar)."""
+        return self.overlap_at_s(t / self.hbar)
+
+    def overlap_at_s(self, s: float) -> complex:
+        """<psi|phi0> at s = t/hbar off the grid: the spectral sum of a closed-form
+        trajectory, or one midpoint-exponential step [s_k, s] of self.hamiltonian
         by self._kernel from the nearest earlier recorded state (unitary, so safe
         whatever the method), which a step loop run without record_states lacks."""
         if self.spectrum is not None:
-            c = self.spectrum[2]
-            return np.vdot(np.exp(t * self._spectral_exponent) * c, c)
+            w, _, c = self.spectrum
+            return np.vdot(np.exp((-1j * s) * w) * c, c)
         if self.states is None:
             raise ValueError("an off-grid overlap needs recorded states or a closed-form spectrum")
-        k = min(int(t / self.dt), len(self.times) - 1)
-        tk = self.times[k]
+        k = min(int(s / self.ds), len(self.times) - 1)
+        sk = k * self.ds
         psi = self.states[k]
-        if t > tk + 1e-15:
-            rows, _, degrees = self._kernel.steps(np.array([tk, t]), t - tk)
+        if s > sk:
+            rows, _, degrees = self._kernel.steps(np.array([sk, s]), s - sk)
             psi = self._kernel.apply(rows[0], psi, degrees[0], np.empty(len(psi), complex))
         return np.vdot(psi, self.initial_state.amplitudes)
 
@@ -236,6 +248,12 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     out = np.zeros_like(values)
     out[1:] = np.cumsum((values[1:] + values[:-1]) * (dt / 2.0))
     return out
+
+
+def _in_s(h, hbar):
+    """h with time in s = t/hbar: an interpolation time T becomes T/hbar."""
+    interp = isinstance(h, InterpolatedHamiltonian)
+    return replace(h, total_time=h.total_time / hbar) if interp else h
 
 
 def _check_phase(phase: float, horizon: float) -> None:
@@ -255,8 +273,8 @@ class _TaylorKernel:
     product gives X psi. A real X multiplies each complex row as a (d, 2)
     float block, one real product in place of a complex one."""
 
-    def __init__(self, h, hbar):
-        self.h, self.hbar = h, hbar
+    def __init__(self, h):
+        self.h = h
         ops = (h.initial, h.problem) if isinstance(h, InterpolatedHamiltonian) else (h,)
         self.norms = [np.linalg.norm(op.entries, 1) for op in ops]
         self.ops = np.array([op.entries.ravel() for op in ops])
@@ -268,30 +286,26 @@ class _TaylorKernel:
         self._blocks = (self.rows.view(float).reshape(len(_SERIES), h.dim, 2)
                         if self.ops.dtype == float else self.rows)
 
-    def steps(self, times, dt):
-        """The steps between consecutive times, each taken over dt: weight rows
-        of their exponents (dt/hbar) H_k, with H_k the exact step means of
-        h.step_terms (a fixed H: weight 1); the bounds rho_k = (t1 - t0)/hbar *
+    def steps(self, s, ds):
+        """The steps between consecutive points s, each taken over ds: weight
+        rows of their exponents ds H_k, with H_k the exact step means of
+        h.step_terms (a fixed H: weight 1); the bounds rho_k = (s1 - s0) *
         sum |weight| ||operator||_1 >= ||exponent||_2; and the smallest degrees
         m whose theta_m covers rho_k, where len(_THETA) + 1 means apply's eigh."""
-        t0, t1 = times[:-1], times[1:]
-        weights = ([w for w, _ in self.h.step_terms(t0, t1)]
-                   if isinstance(self.h, InterpolatedHamiltonian) else [np.ones_like(t0)])
-        rho = (t1 - t0) / self.hbar * sum(np.abs(w) * n for w, n in zip(weights, self.norms))
-        bad = np.flatnonzero(~(rho < math.inf))  # NaN fails this test too
-        if bad.size:
-            raise IntegrationError(f"step bound ||H||_1 dt/hbar = {rho[bad[0]]} at t = "
-                                   f"{t0[bad[0]]:.9g} is not finite", time=float(t0[bad[0]]))
+        s0, s1 = s[:-1], s[1:]
+        weights = ([w for w, _ in self.h.step_terms(s0, s1)]
+                   if isinstance(self.h, InterpolatedHamiltonian) else [np.ones_like(s0)])
+        rho = (s1 - s0) * sum(np.abs(w) * n for w, n in zip(weights, self.norms))
         rows = np.column_stack(weights).astype(self.ops.dtype)
-        rows *= dt / self.hbar
+        rows *= ds
         return rows, rho, (np.searchsorted(_THETA, rho) + 1).tolist()
 
-    def points(self, t):
-        """Weight rows of H(t) itself at the times t, of any shape: the h.terms
+    def points(self, s):
+        """Weight rows of H itself at the points s, of any shape: the h.terms
         envelopes (a fixed H: weight 1), on a last axis."""
         if isinstance(self.h, InterpolatedHamiltonian):
-            return np.stack([e for e, _ in self.h.terms(t)], axis=-1).astype(self.ops.dtype)
-        return np.broadcast_to(np.ones(1, self.ops.dtype), np.shape(t) + (1,))
+            return np.stack([e for e, _ in self.h.terms(s)], axis=-1).astype(self.ops.dtype)
+        return np.broadcast_to(np.ones(1, self.ops.dtype), np.shape(s) + (1,))
 
     def apply(self, row, psi, degree, out):
         """out = exp(-i X) psi, X = row @ ops, at the given Taylor degree."""
@@ -315,32 +329,33 @@ class _TaylorKernel:
         return self.rows[1]
 
 
-def _norm_error(norm, t, tolerance) -> IntegrationError:
-    return IntegrationError(f"norm drifted to {norm:.12g} at t = {t:.9g} (tolerance "
-                            f"{tolerance:g}); reduce dt or switch method", time=float(t))
+def _norm_error(norm, time, tolerance) -> IntegrationError:
+    return IntegrationError(f"norm drifted to {norm:.12g} (tolerance {tolerance:g}); reduce "
+                            "dt or switch method", time=time)
 
 
-def _closed_form(H, phi0, times, cfg):
-    """Exact propagation under a fixed H = V diag(w) V^dagger, c = V^dagger phi0.
-    Grid time t_k, k = aK + b, splits as t_aK + t_b, so the eigenbasis
-    amplitudes z_k = exp(-i w t_k/hbar) * c are coarse[a] * fine[b], and each
-    grid-wide sum over j is one product of the two tables; z itself, n x dim,
-    is never formed. Returns the spectrum (w, V, c), the overlaps
-    conj(z_k . conj(c)), the final state V z_N and the largest | |z_k| - 1 |."""
+def _closed_form(H, phi0, s, cfg):
+    """Exact propagation under a fixed H = V diag(w) V^dagger, c = V^dagger phi0,
+    on the grid s; a failure reports its time as an s. Grid point s_k,
+    k = aK + b, splits as s_aK + s_b, so the eigenbasis amplitudes
+    z_k = exp(-i w s_k) * c are coarse[a] * fine[b], and each grid-wide sum
+    over j is one product of the two tables; z itself, n x dim, is never
+    formed. Returns the spectrum (w, V, c), the overlaps conj(z_k . conj(c)),
+    the final state V z_N and the largest | |z_k| - 1 |."""
     w, V = np.linalg.eigh(H)
-    _check_phase(float(times[-1]) * float(np.max(np.abs(w))) / cfg.hbar, times[-1])
+    _check_phase(float(s[-1]) * float(np.max(np.abs(w))), s[-1])
     c = V.conj().T @ phi0
-    n = len(times)
+    n = len(s)
     K = math.isqrt(n - 1) + 1
-    rate = (-1j / cfg.hbar) * w
-    coarse = np.exp(np.outer(times[::K], rate))
-    fine = np.exp(np.outer(times[:K], rate)) * c
+    rate = -1j * w
+    coarse = np.exp(np.outer(s[::K], rate))
+    fine = np.exp(np.outer(s[:K], rate)) * c
     overlaps = np.conj(coarse @ (fine * c.conj()).T).ravel()[:n]
     norms = np.sqrt((np.abs(coarse) ** 2 @ (np.abs(fine) ** 2).T).ravel()[:n])
     devs = np.abs(norms - 1.0)
     bad = np.flatnonzero(~(devs <= cfg.norm_tolerance))  # NaN fails this test too
     if bad.size:
-        raise _norm_error(norms[bad[0]], times[bad[0]], cfg.norm_tolerance)
+        raise _norm_error(norms[bad[0]], s[bad[0]], cfg.norm_tolerance)
     for x in (w, V, c):
         x.setflags(write=False)
     a, b = divmod(n - 1, K)
@@ -362,77 +377,80 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if interp and horizon > h.total_time * (1.0 + 1e-12):
-        raise ValueError(
-            f"horizon {horizon} exceeds the interpolation window {h.total_time}"
-        )
+        raise ValueError(f"horizon {horizon} exceeds the interpolation window {h.total_time}")
     betas = list(betas)
     labels = [p.label for p in betas]
     if len(set(labels)) != len(labels):
         raise ValueError(f"beta policy labels collide: {labels}")
 
     nsteps = cfg.resolve_steps(horizon)
-    dt = horizon / nsteps
     hbar = cfg.hbar
-    if dt < sys.float_info.min:  # a subnormal dt has lost its digits before any step
-        raise ValueError(f"step dt = {dt:g} at hbar = {hbar:g} is below the smallest normal "
-                         f"float {sys.float_info.min:g}; use larger time units")
-    times = np.arange(nsteps + 1) * dt
+    ds = horizon / hbar / nsteps  # the unit boundary: from here on, time is s = t/hbar
+    if not sys.float_info.min <= ds < math.inf:
+        raise ValueError(f"step ds = dt/hbar = {ds:g} (dt = {horizon / nsteps:g}, hbar = "
+                         f"{hbar:g}) is not a finite normal float; use other time units")
+    hs = _in_s(h, hbar)
+    s = np.arange(nsteps + 1) * ds  # the run's one grid array, scaled to t after the walk
 
     # normalize exactly once; this vector is the reference phi0 throughout
     phi0 = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
 
-    beta_grids = {p.label: p.values(times, h) for p in betas}
-
-    # integrand ||(H(t_k) - beta_k) phi0|| on the step grid
-    if interp:  # H(t_k) phi0, a sum over the terms of envelope(t_k) * (operator phi0)
-        rows = (np.outer(e, op.entries @ phi0) for e, op in h.terms(times))
+    # integrand ||(H(s_k) - beta_k) phi0|| on the step grid
+    if interp:  # H(s_k) phi0, a sum over the terms of envelope(s_k) * (operator phi0)
+        rows = (np.outer(e, op.entries @ phi0) for e, op in hs.terms(s))
         residual_base, grid = functools.reduce(operator.iadd, rows), slice(None)
     else:  # H and every beta a fixed H admits are constant: one row serves the grid
         residual_base, grid = (h.entries @ phi0)[None, :], slice(1)
-    # each policy's phase factor exp(-i/hbar int_0^t beta) and integrand, before any step
+    # each policy's phase factor exp(-i int_0^s beta) and integrand, before any step
     rotations, rhs_integrals, integrand_max = {}, {}, {}
-    for label, bvals in beta_grids.items():
-        phase = cumulative_trapezoid(bvals, dt)
-        rotations[label] = rotation = -1j * phase  # exp(-i phase/hbar), formed in place
-        np.exp(np.divide(rotation, hbar, out=rotation), out=rotation)
-        rotation[phase == 0.0] = 1.0  # even where 1/hbar overflows to inf
+    for label, bvals in ((p.label, p.values(s, hs)) for p in betas):
+        phase = cumulative_trapezoid(bvals, ds)
+        rotations[label] = rotation = -1j * phase  # exp(-i phase), formed in place
+        np.exp(rotation, out=rotation)
         bad = np.flatnonzero(~np.isfinite(rotation))  # not a bound violation
         if bad.size:
-            t = times[bad[0]]
-            raise IntegrationError(f"beta policy {label!r}: distance not finite at t = {t:.9g} "
-                                   f"(phase integral {phase[bad[0]]:.6g})", time=t)
+            raise IntegrationError(f"beta policy {label!r}: distance not finite (phase "
+                                   f"{phase[bad[0]]:.6g})", time=s[bad[0]] * hbar)
         integrand = np.broadcast_to(np.linalg.norm(
-            residual_base - bvals[grid, None] * phi0[None, :], axis=1), times.shape)
+            residual_base - bvals[grid, None] * phi0[None, :], axis=1), s.shape)
         integrand_max[label] = float(np.max(integrand))
         if not math.isfinite(integrand_max[label]):
-            t = times[np.flatnonzero(~np.isfinite(integrand))[0]]
+            k = np.flatnonzero(~np.isfinite(integrand))[0]
             raise IntegrationError(f"beta policy {label!r}: integrand ||(H - beta) phi0|| not "
-                                   f"finite at t = {t:.9g}", time=t)
-        rhs_integrals[label] = cumulative_trapezoid(integrand, dt)
+                                   "finite", time=s[k] * hbar)
+        rhs_integrals[label] = cumulative_trapezoid(integrand, ds * hbar)
     del residual_base  # (steps + 1) x dim under H(t), freed before the walk allocates states
 
     spectrum = states = None
     if cfg.method == "midpoint-exponential" and not interp:
-        spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, times, cfg)
+        try:
+            spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, s, cfg)
+        except IntegrationError as exc:  # its time is an s
+            exc.time *= hbar
+            raise
     else:
-        kernel = _TaylorKernel(h, hbar)
+        kernel = _TaylorKernel(hs)
         if cfg.method == "midpoint-exponential":
-            rows, rho, degrees = kernel.steps(times, dt)
+            rows, rho, degrees = kernel.steps(s, ds)
+            bad = np.flatnonzero(~(rho < math.inf))  # NaN fails this test too
+            if bad.size:
+                raise IntegrationError(f"step bound ||H||_1 ds = {rho[bad[0]]} is not finite",
+                                       time=s[bad[0]] * hbar)
             _check_phase(float(np.sum(rho)), horizon)
 
             def step(k, psi, out):
                 kernel.apply(rows[k], psi, degrees[k], out)
-        else:  # H(t) at each step's stages t_k, t_k + dt/2 and t_k + dt
-            stages = kernel.points(times[:-1, None] + np.array([0.0, dt / 2.0, dt]))
-            deriv = lambda row, psi: (-1j / hbar) * kernel.product(row, psi)
+        else:  # H at each step's stages s_k, s_k + ds/2 and s_k + ds
+            stages = kernel.points(s[:-1, None] + np.array([0.0, ds / 2.0, ds]))
+            deriv = lambda row, psi: -1j * kernel.product(row, psi)
 
             def step(k, psi, out):
                 start, mid, end = stages[k]
                 k1 = deriv(start, psi)
-                k2 = deriv(mid, psi + (dt / 2.0) * k1)
-                k3 = deriv(mid, psi + (dt / 2.0) * k2)
-                k4 = deriv(end, psi + dt * k3)
-                out[:] = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = deriv(mid, psi + (ds / 2.0) * k1)
+                k3 = deriv(mid, psi + (ds / 2.0) * k2)
+                k4 = deriv(end, psi + ds * k3)
+                out[:] = psi + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         overlaps = np.empty(nsteps + 1, dtype=complex)
         # every grid state when recording, else a ring of two: step k reads row
         # k and writes row k + 1, modulo the ring
@@ -445,7 +463,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
             norm = math.sqrt(re.dot(re) + im.dot(im))
             dev = abs(norm - 1.0)
             if not dev <= cfg.norm_tolerance:  # NaN fails this test too
-                raise _norm_error(norm, times[k], cfg.norm_tolerance)
+                raise _norm_error(norm, s[k] * hbar, cfg.norm_tolerance)
             norm_max_dev = max(norm_max_dev, dev)
             overlaps[k] = np.vdot(psi, phi0)
             if k == nsteps:
@@ -453,28 +471,16 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
             step(k, psi, ring[(k + 1) % len(ring)])
         if cfg.record_states:
             states = ring
+            states.setflags(write=False)
 
-    survival = np.abs(overlaps) ** 2
+    s *= hbar  # the grid leaves as times t
     # every state passed the norm check, so each overlap and distance is finite
-    distances = {label: overlap_distance(rotations[label] * overlaps) for label in labels}
-
-    if states is not None:
-        states.setflags(write=False)
     return Trajectory(
-        times=times,
-        overlaps=overlaps,
-        survival=survival,
-        distances=distances,
-        rhs_integrals=rhs_integrals,
-        integrand_max=integrand_max,
-        hamiltonian=h,
-        initial_state=StateVector(phi0),
-        final_state=StateVector(psi / np.linalg.norm(psi)),
-        states=states,
-        spectrum=spectrum,
-        method=cfg.method,
-        dt=dt,
-        hbar=hbar,
+        times=s, overlaps=overlaps, survival=np.abs(overlaps) ** 2,
+        distances={label: overlap_distance(rotations[label] * overlaps) for label in labels},
+        rhs_integrals=rhs_integrals, integrand_max=integrand_max, hamiltonian=h,
+        initial_state=StateVector(phi0), final_state=StateVector(psi / np.linalg.norm(psi)),
+        states=states, spectrum=spectrum, method=cfg.method, ds=ds, hbar=hbar,
         norm_max_dev=norm_max_dev,
     )
 

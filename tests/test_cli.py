@@ -443,12 +443,24 @@ class TestDecay:
         ["ensemble", "--dim", "2", "--seeds", "0..2", "--hbar", "5e-324"],
     ], ids=["decay", "ensemble"])
     def test_subnormal_step_rejected(self, tmp_path, capfd, argv):
-        # at these hbar the step dt is below the smallest normal float
+        # these hbar are subnormal, so s = t/hbar would have lost its digits
         rc = main([*argv, "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capfd.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: step dt = ") and "hbar" in err
+        assert err.startswith("error: hbar must be ") and "hbar" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--two-level", "--horizon", "1e300", "--dt", "1e-300"],
+        ["decay", "--two-level", "--dt", "1e-320"],
+    ], ids=["horizon", "dt"])
+    def test_step_count_past_the_float_range_rejected(self, tmp_path, capfd, argv):
+        # horizon / dt overflows to inf: no step count exists, an input error
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: horizon ") and "dt" in err
 
     def test_report_matches_the_ensemble_member(self, tmp_path):
         # decay and ensemble share one time-independent recipe
@@ -491,6 +503,41 @@ class TestDecay:
         assert rc == 0
         last = (tmp_path / "decay.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(1.0)
+
+
+class TestSubnormalHbar:
+    """An hbar below the smallest normal float is named as the fault: 1/hbar
+    overflows and s = t/hbar has lost its digits before any step."""
+
+    @pytest.mark.parametrize("argv", [
+        ["qac", "--instance", "chain3.json", "--hbar", "1e-310", "--T", "1e-304"],
+        ["decay", "--two-level", "--hbar", "1e-310", "--horizon", "1e-303"],
+    ], ids=["qac", "decay"])
+    def test_command_exits_2_naming_hbar(self, tmp_path, capfd, monkeypatch, argv):
+        (tmp_path / "chain3.json").write_text(json.dumps(
+            {"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]], "fields": [[0, 0.25], [2, -0.5]]}))
+        monkeypatch.chdir(tmp_path)
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "hbar" in err
+
+    def test_campaign_exits_2_before_any_member_runs(self, tmp_path, capfd, monkeypatch):
+        def evolve(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(campaigns, "evolve", evolve)
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps({
+            "kind": "gue-ensemble", "parameters": {"dim": 2, "seeds": [0, 1]},
+            "integrator": {"hbar": 1e-310}}))
+        rc = main(["verify", "--campaign", str(campaign_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        out, err = capfd.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "hbar" in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestEntangle:

@@ -37,3 +37,20 @@ def test_only_schedules_reads_a_schedules_parameters():
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "schedules.py"]
     assert len(modules) > 1
     assert [hit for path in modules for hit in attribute_reads(path, {"power", "knots"})] == []
+
+
+def hbar_reads(node) -> list:
+    """'line name' for each parameter, keyword, name or attribute called hbar
+    inside the definition node."""
+    return [f"{sub.lineno} {name}" for sub in ast.walk(node)
+            for name in (getattr(sub, "arg", None), getattr(sub, "id", None),
+                         getattr(sub, "attr", None)) if name == "hbar"]
+
+
+def test_step_kernel_and_closed_form_never_see_hbar():
+    # evolve converts to s = t/hbar once, so the numerics between work in s alone
+    path = PACKAGE / "propagate.py"
+    defs = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if getattr(node, "name", None) in {"_TaylorKernel", "_closed_form"}]
+    assert len(defs) == 2
+    assert [hit for node in defs for hit in hbar_reads(node)] == []
