@@ -208,9 +208,8 @@ class BoundReport:
 
 
 def write_report_json(report: BoundReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w") as fh:  # json.dumps, not json.dump's one write per encoder chunk
+        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _worst_sample_margin(name, lhs_array, rhs_array, slack, times):

@@ -159,12 +159,13 @@ def _detect_events(traj) -> dict:
     return {"orthogonal": first_orthogonal(traj), "antipodal": first_antipodal(traj)}
 
 
-def _fallback_horizon(char, horizon_mult: float) -> float:
+def _fallback_horizon(char, horizon_mult: float, hbar: float) -> float:
+    """horizon_mult characteristic times, or one hbar when neither is reachable."""
     if np.isfinite(char.t_orth):
         return horizon_mult * char.t_orth
     if np.isfinite(char.t_any):
         return horizon_mult * char.t_any
-    return 1.0
+    return hbar
 
 
 def run_time_independent(H: HermitianOperator, psi0: StateVector, cfg: IntegratorConfig,
@@ -178,7 +179,7 @@ def run_time_independent(H: HermitianOperator, psi0: StateVector, cfg: Integrato
     detected unless events is False."""
     m = state_moments(H, psi0)
     if horizon is None:
-        horizon = _fallback_horizon(char_times_ti(m, cfg.hbar), horizon_mult)
+        horizon = _fallback_horizon(char_times_ti(m, cfg.hbar), horizon_mult, cfg.hbar)
     reference = (BetaPolicy.constant(m.energy, name="opt") if beta is None
                  else BetaPolicy.constant(beta))
     traj = evolve(H, psi0, horizon, cfg=cfg, betas=[BetaPolicy.zero(), reference])
@@ -190,7 +191,8 @@ def run_time_independent(H: HermitianOperator, psi0: StateVector, cfg: Integrato
 def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignResult:
     """The four closed-form cases: an orthogonality-reaching gap system, an
     antipodal-reaching symmetric gap, frozen dynamics, and a stationary
-    eigenstate. Every inequality must hold and the event times are known."""
+    eigenstate. Every inequality must hold and the event times are known.
+    The horizons are multiples of hbar, so every hbar walks the same s = t/hbar."""
     cfg = integrator if integrator is not None else IntegratorConfig()
     plus = StateVector.normalized(np.array([1.0, 1.0]))
     cases = [
@@ -210,7 +212,7 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignRe
     def member(case):
         name, H, psi0, horizon = case
         return run_time_independent(
-            H, psi0, cfg, horizon=horizon,
+            H, psi0, cfg, horizon=horizon * cfg.hbar,
             provenance={"campaign": "analytic-two-level", "case": name,
                         "config_hash": config_hash})[0]
 
@@ -504,7 +506,6 @@ def write_campaign_result(result: CampaignResult, out_dir) -> dict:
 
     json_path = out / "summary.json"
     with open(json_path, "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
     return {"summary_json": json_path, "summary_csv": csv_path,
             "reports": report_paths}

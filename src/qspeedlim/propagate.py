@@ -10,7 +10,8 @@ is algebra.overlap_distance) and the right-hand-side integral
 
 so the relation hbar d <= rhs reads d <= int_0^s ||(H - beta) |phi0>|| ds.
 evolve is the one unit boundary: it divides the horizon and an interpolation
-time T by hbar, a normal float, and needs ds = dt/hbar finite and normal.
+time T by hbar, a normal float, and needs ds = dt/hbar finite and normal and
+T/hbar finite.
 Grid times, rhs integrals, event times and error times leave multiplied by
 hbar. Nothing between reads hbar, so a run at (lambda t, lambda hbar) walks
 the s grid of the run at (t, hbar).
@@ -53,6 +54,8 @@ integrand read only the grid, beta and H(s) phi0, so they are checked before
 any step; then the step bounds, the largest phase and each state's norm.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
+A table of at least two blocks is formatted on two cores where os.fork exists,
+the second half by a forked child; the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -63,7 +66,10 @@ import json
 import math
 import numbers
 import operator
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -252,8 +258,13 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 
 def _in_s(h, hbar):
     """h with time in s = t/hbar: an interpolation time T becomes T/hbar."""
-    interp = isinstance(h, InterpolatedHamiltonian)
-    return replace(h, total_time=h.total_time / hbar) if interp else h
+    if not isinstance(h, InterpolatedHamiltonian):
+        return h
+    total_time = h.total_time / hbar
+    if not total_time < math.inf:
+        raise ValueError(f"interpolation time T / hbar = {h.total_time:g} / {hbar:g} is not "
+                         "finite; use other time units")
+    return replace(h, total_time=total_time)
 
 
 def _check_phase(phase: float, horizon: float) -> None:
@@ -514,15 +525,52 @@ def convergence_order(h, psi0, horizon, cfg: IntegratorConfig | None = None) -> 
     return ConvergenceResult(order=order, exact=False, errors=errors)
 
 
+def _write_rows(fh, columns, lo, hi) -> None:
+    """Rows [lo, hi) of the columns, a block per write."""
+    for start in range(lo, hi, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, hi)
+        rows = zip(*(map(repr, c[start:stop].tolist()) for c in columns))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
 def write_csv_columns(path, header, columns) -> None:
     """CSV of a header row and equal-length array columns, streamed a block
     of rows at a time. The bytes are those csv.writer writes: a float as its
-    shortest round-trip repr, a bool as True/False, CRLF row ends."""
+    shortest round-trip repr, a bool as True/False, CRLF row ends.
+
+    Formatting, repr at about 1 us a float, is the cost, so a table of at
+    least two blocks where os.fork exists is formatted on two cores: a forked
+    child writes rows [n//2, n) to an unnamed temporary file while this
+    process writes rows [0, n//2) to path, then appends the file. The child
+    leaves by os._exit on every path, so it never flushes this process's
+    buffers; its failure is an OSError naming path."""
+    n = len(columns[0])
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*(map(repr, c[start:start + _CSV_BLOCK].tolist()) for c in columns))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        if n < 2 * _CSV_BLOCK or not hasattr(os, "fork"):
+            _write_rows(fh, columns, 0, n)
+            return
+        with tempfile.TemporaryFile("w+", newline="", encoding=fh.encoding,
+                                    dir=Path(path).parent) as tail:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _write_rows(tail, columns, n // 2, n)
+                    tail.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            try:
+                _write_rows(fh, columns, 0, n // 2)
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise OSError(f"{path}: formatting rows {n // 2} to {n} failed "
+                              f"(exit status {status})")
+            tail.seek(0)
+            fh.flush()  # the child wrote text in fh's encoding, so bytes append as they are
+            shutil.copyfileobj(tail.buffer, fh.buffer)
 
 
 def write_trajectory_csv(traj: Trajectory, path, seed=None) -> None:

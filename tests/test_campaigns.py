@@ -137,15 +137,17 @@ class TestGueEnsemble:
 class TestHorizonFallback:
     def test_prefers_orthogonality_time(self):
         char = CharacteristicTimes(t_any=1.0, t_orth=3.0)
-        assert _fallback_horizon(char, 4.0) == pytest.approx(12.0)
+        assert _fallback_horizon(char, 4.0, 1.0) == pytest.approx(12.0)
 
     def test_falls_back_to_any_time(self):
         char = CharacteristicTimes(t_any=2.0, t_orth=math.inf)
-        assert _fallback_horizon(char, 4.0) == pytest.approx(8.0)
+        assert _fallback_horizon(char, 4.0, 1.0) == pytest.approx(8.0)
 
     def test_unit_horizon_when_both_unreachable(self):
         char = CharacteristicTimes(t_any=math.inf, t_orth=math.inf)
-        assert _fallback_horizon(char, 4.0) == 1.0
+        # one hbar, so the run covers the same s = t/hbar interval at any hbar
+        assert _fallback_horizon(char, 4.0, 1.0) == 1.0
+        assert _fallback_horizon(char, 4.0, 1e-300) == 1e-300
 
 
 def brute_force_moments(instance, psi):

@@ -54,3 +54,20 @@ def test_step_kernel_and_closed_form_never_see_hbar():
             if getattr(node, "name", None) in {"_TaylorKernel", "_closed_form"}]
     assert len(defs) == 2
     assert [hit for node in defs for hit in hbar_reads(node)] == []
+
+
+def fork_sites(path: Path) -> list:
+    """'module:definition' for each reference to os.fork (or a bare fork) in
+    the file, by the top-level definition that holds it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{getattr(top, 'name', '<module>')}"
+            for top in tree.body for sub in ast.walk(top)
+            if getattr(sub, "attr", None) == "fork" or getattr(sub, "id", None) == "fork"]
+
+
+def test_only_the_csv_writer_forks():
+    # one place starts, reaps and checks a child process
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    assert [hit for path in modules for hit in fork_sites(path)] == [
+        "propagate.py:write_csv_columns"]

@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -658,6 +661,12 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="horizon"):
             evolve(two_level_gap(), PLUS, horizon=math.inf)
 
+    def test_overflowing_interpolation_time_names_hbar(self):
+        # ds = horizon / hbar / steps = 5e6 is fine, but T / hbar overflows
+        with pytest.raises(ValueError, match="T / hbar = 1e\\+300 / 1e-10"):
+            evolve(single_qubit_annealer(T=1e300), StateVector.uniform(2), horizon=1.0,
+                   cfg=IntegratorConfig(hbar=1e-10))
+
     def test_nan_norm_raises_integration_error(self):
         # rk4 at dt = 1e5 blows the norm up: the run must stop with an
         # IntegrationError instead of passing a broken state on
@@ -905,7 +914,9 @@ BLOCK = propagate._CSV_BLOCK
 
 
 class TestCsvColumnsAgainstCsvWriter:
-    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    # from 2 * BLOCK rows on, a forked child formats the second half
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                                      2 * BLOCK + 3, 3 * BLOCK + 1])
     def test_adversarial_columns_byte_identical(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         special = np.resize(np.array(ADVERSARIAL), rows)
@@ -917,9 +928,12 @@ class TestCsvColumnsAgainstCsvWriter:
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == rows + 1
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_decay_cli_files_match_oracle(self, tmp_path, monkeypatch):
-        # both CSVs of a real decay run, more than one block of rows long
+        # both CSVs of a real decay run, more than one block of rows long, on
+        # one core and, past 2 * BLOCK rows, on two
         real = propagate.write_csv_columns
         written = []
 
@@ -930,12 +944,50 @@ class TestCsvColumnsAgainstCsvWriter:
 
         monkeypatch.setattr(propagate, "write_csv_columns", twin)
         monkeypatch.setattr(cli, "write_csv_columns", twin)
-        steps = BLOCK + 904
-        rc = cli.main(["decay", "--dim", "16", "--seed", "3", "--steps", str(steps),
-                       "--out", str(tmp_path)])
+        for steps in (BLOCK + 904, 2 * BLOCK + 905):
+            written.clear()
+            rc = cli.main(["decay", "--dim", "16", "--seed", "3", "--steps", str(steps),
+                           "--out", str(tmp_path / str(steps))])
+            assert rc == 0
+            assert sorted(p.name for p in map(Path, written)) == ["decay.csv", "trajectory.csv"]
+            for path in written:
+                got = Path(path).read_bytes()
+                assert got == Path(f"{path}.oracle").read_bytes()
+                assert got.count(b"\r\n") == steps + 2
+
+    def test_failure_in_the_second_half_names_the_path(self, tmp_path):
+        # only the forked child formats rows past the midpoint, so only it fails
+        class Unformattable:
+            def __init__(self, fails):
+                self.fails = fails
+
+            def __repr__(self):
+                if self.fails:
+                    raise RuntimeError("no repr")
+                return "ok"
+
+        rows = 2 * BLOCK + 3
+        column = np.array([Unformattable(k > rows // 2) for k in range(rows)], dtype=object)
+        path = tmp_path / "broken.csv"
+        with pytest.raises(OSError, match="broken.csv"):
+            write_csv_columns(path, ["x", "y"], [column, np.zeros(rows)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_decay_prints_each_line_once(self, tmp_path, capfd):
+        # stdout to a file is block-buffered, so it holds the first line when
+        # the writer forks; a child that flushed it on the way out would print
+        # that line twice
+        src = Path(propagate.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        out = tmp_path / "out"
+        rc = subprocess.run([sys.executable, "-m", "qspeedlim.cli", "decay", "--two-level",
+                             "--steps", str(4 * BLOCK), "--out", str(out)], env=env).returncode
         assert rc == 0
-        assert sorted(p.name for p in map(Path, written)) == ["decay.csv", "trajectory.csv"]
-        for path in written:
-            got = Path(path).read_bytes()
-            assert got == Path(f"{path}.oracle").read_bytes()
-            assert got.count(b"\r\n") == steps + 2
+        lines = capfd.readouterr().out.splitlines()
+        wrote = ", ".join(str(out / f) for f in ("trajectory.csv", "decay.csv", "report.json"))
+        assert lines[:2] == ["units: hbar = 1; all energies and times are hbar-relative",
+                             f"wrote {wrote}"]
+        assert len(lines) == len(set(lines)) == 3  # the third is the orthogonality time
