@@ -61,14 +61,19 @@ def char_times_ti(m: MomentPair, hbar: float) -> CharacteristicTimes:
 
 def char_times_qac(m: MomentPair, g_integral: float, hbar: float) -> CharacteristicTimes:
     """Annealing characteristic times; the unit-interval integral of g
-    rescales both (consistently with the inequalities both times come from)."""
+    rescales both (consistently with the inequalities both times come from).
+    A time is inf only where its denominator is zero; one that overflows
+    from a positive denominator is a ValueError naming hbar."""
     if not g_integral > 0:
         raise ValueError(f"g_integral must be positive, got {g_integral}")
-    denom_any = g_integral * math.hypot(m.spread, m.energy)
-    t_any = 2.0 * hbar / denom_any if denom_any > 0 else math.inf
-    denom_orth = g_integral * m.spread
-    t_orth = hbar * math.sqrt(2.0) / denom_orth if denom_orth > 0 else math.inf
-    return CharacteristicTimes(t_any=t_any, t_orth=t_orth)
+    times = {}
+    for name, numer, denom in (("t_any", 2.0 * hbar, g_integral * math.hypot(m.spread, m.energy)),
+                               ("t_orth", hbar * math.sqrt(2.0), g_integral * m.spread)):
+        times[name] = numer / denom if denom > 0 else math.inf
+        if denom > 0 and not times[name] < math.inf:
+            raise ValueError(f"characteristic time {name} overflows the float range at "
+                             f"hbar = {hbar:g}; use other units")
+    return CharacteristicTimes(**times)
 
 
 class SurvivalBound(NamedTuple):

@@ -161,10 +161,14 @@ def _detect_events(traj) -> dict:
 
 def _fallback_horizon(char, horizon_mult: float, hbar: float) -> float:
     """horizon_mult characteristic times, or one hbar when neither is reachable."""
-    if np.isfinite(char.t_orth):
-        return horizon_mult * char.t_orth
-    if np.isfinite(char.t_any):
-        return horizon_mult * char.t_any
+    for name in ("t_orth", "t_any"):
+        t = getattr(char, name)
+        if np.isfinite(t):
+            horizon = horizon_mult * t
+            if not np.isfinite(horizon):
+                raise ValueError(f"horizon_mult = {horizon_mult:g} times the characteristic "
+                                 f"time {name} = {t:g} overflows the float range")
+            return horizon
     return hbar
 
 
@@ -210,9 +214,13 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignRe
                                 "integrator": asdict(cfg)})
 
     def member(case):
-        name, H, psi0, horizon = case
+        name, H, psi0, mult = case
+        horizon = mult * cfg.hbar
+        if not np.isfinite(horizon):
+            raise ValueError(f"the {name} case's horizon of {mult:g} hbar overflows the "
+                             f"float range at hbar = {cfg.hbar:g}")
         return run_time_independent(
-            H, psi0, cfg, horizon=horizon * cfg.hbar,
+            H, psi0, cfg, horizon=horizon,
             provenance={"campaign": "analytic-two-level", "case": name,
                         "config_hash": config_hash})[0]
 

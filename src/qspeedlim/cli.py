@@ -1,8 +1,10 @@
 """Command-line driver for batch verification runs.
 
-Thin sequential wrapper over the campaign runners: parse arguments, run,
-write machine-readable outputs, map the outcome to an exit code. Exit 0
-means every asserted inequality held, 1 means at least one bound violation
+Thin sequential wrapper over the campaigns: parse arguments, run, write
+machine-readable outputs, map the outcome to an exit code. A campaign file
+and a campaign verb's flags, which spell the kind and parameters such a file
+holds, share one path through `run_campaign` and its checks. Exit 0 means
+every asserted inequality held, 1 means at least one bound violation
 (outputs are still written, and the offending report paths are printed),
 2 means a configuration or input error.
 """
@@ -19,19 +21,10 @@ import numpy as np
 
 from .algebra import HermitianOperator, StateVector, random_state, read_json
 from .bounds import exp_decay_diagnostic, survival_lower_bound_ti, write_report_json
-from .campaigns import (
-    load_campaign,
-    run_analytic_suite,
-    run_campaign,
-    run_entanglement_compare,
-    run_gue_ensemble,
-    run_qac,
-    run_time_independent,
-    write_campaign_result,
-)
-from .hamiltonians import load_ising_instance, random_hermitian
+from .campaigns import (Campaign, load_campaign, run_campaign, run_time_independent,
+                        write_campaign_result)
+from .hamiltonians import random_hermitian
 from .propagate import IntegrationError, IntegratorConfig, write_csv_columns, write_trajectory_csv
-from .schedules import Schedule, load_schedule
 
 OUT_ENV_VAR = "QSPEEDLIM_OUT"
 
@@ -52,13 +45,13 @@ def parse_times(text: str) -> list:
     return values
 
 
-def parse_schedule(text: str) -> Schedule:
-    """'linear', 'poly:<power>', or a path to a schedule JSON file."""
+def parse_schedule(text: str) -> dict:
+    """The schedule spec of 'linear', 'poly:<power>', or a schedule JSON file."""
     if text == "linear":
-        return Schedule.linear()
+        return {"kind": "linear"}
     if text.startswith("poly:"):
-        return Schedule.polynomial(float(text.partition(":")[2]))
-    return load_schedule(text)
+        return {"kind": "poly", "power": float(text.partition(":")[2])}
+    return read_json(text)
 
 
 def _out_dir(args, default_name: str) -> Path:
@@ -104,44 +97,18 @@ def _finish_campaign(result, out_dir: Path, verbose: bool) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    if args.campaign is not None:
-        campaign = load_campaign(args.campaign)
-        _print_units_header(campaign.integrator.hbar)
-        result = run_campaign(campaign)
-        return _finish_campaign(result, _out_dir(args, campaign.kind), args.verbose)
-    # the closed-form suite is the default verification target
-    _print_units_header(args.hbar)
-    result = run_analytic_suite(integrator=_integrator(args))
-    return _finish_campaign(result, _out_dir(args, "verify"), args.verbose)
-
-
-def _cmd_ensemble(args) -> int:
-    _print_units_header(args.hbar)
-    result = run_gue_ensemble(dim=args.dim, seeds=parse_seeds(args.seeds),
-                              horizon_mult=args.horizon_mult,
-                              shift_ground=args.shift_ground,
-                              integrator=_integrator(args))
-    return _finish_campaign(result, _out_dir(args, "ensemble"), args.verbose)
-
-
-def _cmd_qac(args) -> int:
-    _print_units_header(args.hbar)
-    instance = load_ising_instance(args.instance)
-    sched = parse_schedule(args.schedule)
-    result = run_qac(instance, sched=sched, T_values=parse_times(args.T),
-                     shift_problem_ground=args.shift_ground,
-                     integrator=_integrator(args))
-    return _finish_campaign(result, _out_dir(args, "qac"), args.verbose)
-
-
-def _cmd_entangle(args) -> int:
-    _print_units_header(args.hbar)
-    result = run_entanglement_compare(subsystem_dim=args.subsystem_dim,
-                                      seeds=parse_seeds(args.seeds),
-                                      horizon_mult=args.horizon_mult,
-                                      integrator=_integrator(args))
-    return _finish_campaign(result, _out_dir(args, "entangle"), args.verbose)
+def _cmd_campaign(args) -> int:
+    """A campaign file, or the campaign a verb's flags spell, through
+    run_campaign. The default output directory is the verb, or a file's kind."""
+    path = getattr(args, "campaign", None)
+    if path is None:
+        campaign = Campaign(args.kind, args.parameters(args), _integrator(args))
+    else:
+        campaign = load_campaign(path)
+    _print_units_header(campaign.integrator.hbar)
+    result = run_campaign(campaign)
+    out_dir = _out_dir(args, args.subcommand if path is None else campaign.kind)
+    return _finish_campaign(result, out_dir, args.verbose)
 
 
 def _cmd_decay(args) -> int:
@@ -253,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the closed-form two-level suite (the default)")
     target.add_argument("--campaign", default=None,
                         help="path to a campaign definition JSON")
-    p.set_defaults(handler=_cmd_verify)
+    # the closed-form suite is the default verification target
+    p.set_defaults(handler=_cmd_campaign, kind="analytic-two-level", parameters=lambda a: {})
 
     p = sub.add_parser("ensemble", parents=[common],
                        help="random-matrix ensemble campaign")
@@ -263,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon-mult", type=float, default=4.0)
     p.add_argument("--shift-ground", action="store_true",
                    help="shift each sample so its ground energy is zero")
-    p.set_defaults(handler=_cmd_ensemble)
+    p.set_defaults(handler=_cmd_campaign, kind="gue-ensemble", parameters=lambda a: {
+        "dim": a.dim, "seeds": parse_seeds(a.seeds), "horizon_mult": a.horizon_mult,
+        "shift_ground": a.shift_ground})
 
     p = sub.add_parser("qac", parents=[common],
                        help="interpolated-Hamiltonian campaign over an Ising instance")
@@ -274,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of total interpolation times")
     p.add_argument("--shift-ground", action="store_true",
                    help="shift the problem term so its ground energy is zero")
-    p.set_defaults(handler=_cmd_qac)
+    p.set_defaults(handler=_cmd_campaign, kind="qac-ising", parameters=lambda a: {
+        "instance": read_json(a.instance), "sched": parse_schedule(a.schedule),
+        "T_values": parse_times(a.T), "shift_problem_ground": a.shift_ground})
 
     p = sub.add_parser("decay", parents=[common],
                        help="single survival-decay run with bound curves")
@@ -293,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsystem-dim", type=int, default=2)
     p.add_argument("--seeds", default="0..24")
     p.add_argument("--horizon-mult", type=float, default=4.0)
-    p.set_defaults(handler=_cmd_entangle)
+    p.set_defaults(handler=_cmd_campaign, kind="entanglement-compare", parameters=lambda a: {
+        "subsystem_dim": a.subsystem_dim, "seeds": parse_seeds(a.seeds),
+        "horizon_mult": a.horizon_mult})
 
     p = sub.add_parser("report", help="summarize an existing results directory")
     p.add_argument("results_dir")

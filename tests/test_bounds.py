@@ -117,6 +117,15 @@ class TestCharacteristicTimes:
         with pytest.raises(ValueError):
             char_times_qac(MomentPair(0.5, 0.5), g_integral=0.0, hbar=1.0)
 
+    def test_overflowing_time_rejected_naming_hbar(self):
+        # both denominators are positive, so neither time is unreachable: 2 hbar / 0.5
+        # overflows, and inf would pass for "never"
+        with pytest.raises(ValueError, match="hbar"):
+            char_times_qac(MomentPair(energy=0.0, spread=0.5), g_integral=1.0, hbar=1e308)
+        t = char_times_qac(MomentPair(energy=0.0, spread=0.5), g_integral=1.0, hbar=1e300)
+        assert t.t_any == pytest.approx(4e300)
+        assert t.t_orth == pytest.approx(2.0 * math.sqrt(2.0) * 1e300)
+
 
 class TestSurvivalBounds:
     def test_start_value(self):

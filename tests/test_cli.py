@@ -21,6 +21,7 @@ from qspeedlim.cli import (
     parse_seeds,
     parse_times,
 )
+from qspeedlim.schedules import Schedule
 
 FAST = ["--steps", "400"]
 
@@ -85,15 +86,15 @@ class TestArgumentParsing:
             parse_times(" , ")
 
     def test_schedule_specs(self):
-        assert parse_schedule("linear").kind == "linear"
-        sched = parse_schedule("poly:2")
+        assert Schedule.from_dict(parse_schedule("linear")).kind == "linear"
+        sched = Schedule.from_dict(parse_schedule("poly:2"))
         assert sched.kind == "poly"
         assert sched.g(0.5) == pytest.approx(0.25)
 
     def test_schedule_from_file(self, tmp_path):
         path = tmp_path / "sched.json"
         path.write_text(json.dumps({"kind": "poly", "power": 3.0}))
-        assert parse_schedule(str(path)).power == 3.0
+        assert Schedule.from_dict(parse_schedule(str(path))).power == 3.0
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -227,6 +228,38 @@ class TestVerify:
             assert main(["verify", "--out", str(out), *FAST]) == 0
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, campaign", [
+    (["verify"], {"kind": "analytic-two-level", "parameters": {}}),
+    (["ensemble", "--dim", "2", "--seeds", "0..3", "--horizon-mult", "3", "--shift-ground",
+      "--hbar", "2"],
+     {"kind": "gue-ensemble", "integrator": {"hbar": 2.0},
+      "parameters": {"dim": 2, "seeds": [0, 1, 2], "horizon_mult": 3.0, "shift_ground": True}}),
+    (["qac", "--instance", "chain3.json", "--schedule", "poly:2", "--T", "1,4",
+      "--shift-ground", "--method", "rk4"],
+     {"kind": "qac-ising", "integrator": {"method": "rk4"},
+      "parameters": {"instance": {"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]],
+                                  "fields": [[0, 0.25], [2, -0.5]]},
+                     "sched": {"kind": "poly", "power": 2.0}, "T_values": [1.0, 4.0],
+                     "shift_problem_ground": True}}),
+    (["entangle", "--subsystem-dim", "2", "--seeds", "0..2", "--horizon-mult", "4"],
+     {"kind": "entanglement-compare",
+      "parameters": {"subsystem_dim": 2, "seeds": [0, 1], "horizon_mult": 4.0}}),
+], ids=["verify", "ensemble", "qac", "entangle"])
+def test_flags_and_campaign_file_write_the_same_bytes(tmp_path, monkeypatch, argv, campaign):
+    # a verb's flags spell the campaign a file holds, and both take one path
+    (tmp_path / "chain3.json").write_text(json.dumps(campaign["parameters"].get("instance", {})))
+    integrator = {**campaign.get("integrator", {}), "steps": 400}
+    (tmp_path / "campaign.json").write_text(json.dumps({**campaign, "integrator": integrator}))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, *FAST, "--out", "flags"]) == 0
+    assert main(["verify", "--campaign", "campaign.json", "--out", "file"]) == 0
+    names = sorted(path.name for path in (tmp_path / "flags").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "file").iterdir())
+    assert {"summary.json", "summary.csv", "report-0000.json"} <= set(names)
+    for name in names:
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 class TestEnsemble:
@@ -506,14 +539,23 @@ class TestDecay:
 
 
 class TestSubnormalHbar:
-    """An hbar below the smallest normal float is named as the fault: 1/hbar
-    overflows and s = t/hbar has lost its digits before any step."""
+    """An hbar outside the float range is named as the fault. Below the smallest
+    normal float, 1/hbar overflows and s = t/hbar has lost its digits before any
+    step; near the largest one, a horizon of a few hbar or a characteristic time
+    overflows. A horizon multiple that overflows the horizon is named likewise."""
 
-    @pytest.mark.parametrize("argv", [
-        ["qac", "--instance", "chain3.json", "--hbar", "1e-310", "--T", "1e-304"],
-        ["decay", "--two-level", "--hbar", "1e-310", "--horizon", "1e-303"],
-    ], ids=["qac", "decay"])
-    def test_command_exits_2_naming_hbar(self, tmp_path, capfd, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, names", [
+        (["qac", "--instance", "chain3.json", "--hbar", "1e-310", "--T", "1e-304"], ["hbar"]),
+        (["decay", "--two-level", "--hbar", "1e-310", "--horizon", "1e-303"], ["hbar"]),
+        (["verify", "--hbar", "1e308"], ["hbar", "orthogonal-two-level"]),
+        (["ensemble", "--dim", "2", "--seeds", "0..2", "--horizon-mult", "1e308"],
+         ["horizon_mult", "characteristic time"]),
+        (["ensemble", "--dim", "2", "--seeds", "0..2", "--horizon-mult", "inf"],
+         ["horizon_mult", "characteristic time"]),
+        (["decay", "--two-level", "--hbar", "1e308"], ["hbar", "characteristic time"]),
+    ], ids=["qac", "decay", "verify-overflow", "ensemble-overflow", "ensemble-inf",
+            "decay-overflow"])
+    def test_command_exits_2_naming_hbar(self, tmp_path, capfd, monkeypatch, argv, names):
         (tmp_path / "chain3.json").write_text(json.dumps(
             {"n": 3, "couplings": [[0, 1, -1.0], [1, 2, -1.0]], "fields": [[0, 0.25], [2, -0.5]]}))
         monkeypatch.chdir(tmp_path)
@@ -521,7 +563,8 @@ class TestSubnormalHbar:
         assert rc == 2
         err = capfd.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and "hbar" in err
+        assert err.startswith("error: ") and all(name in err for name in names)
+        assert not (tmp_path / "o").exists()
 
     def test_campaign_exits_2_before_any_member_runs(self, tmp_path, capfd, monkeypatch):
         def evolve(*args, **kwargs):

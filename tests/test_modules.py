@@ -71,3 +71,18 @@ def test_only_the_csv_writer_forks():
     assert len(modules) > 1
     assert [hit for path in modules for hit in fork_sites(path)] == [
         "propagate.py:write_csv_columns"]
+
+
+def test_cli_reaches_the_campaign_runners_only_through_run_campaign():
+    # campaign files and a verb's flags share run_campaign's checks; decay's
+    # single run is run_time_independent
+    campaigns = ast.parse((PACKAGE / "campaigns.py").read_text())
+    runners = {node.name for node in campaigns.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("run_")} - {"run_campaign", "run_time_independent"}
+    assert len(runners) == 4
+    path = PACKAGE / "cli.py"
+    imported = [f"{path.name}: {alias.name}"
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if alias.name in runners]
+    assert imported + attribute_reads(path, runners) == []
