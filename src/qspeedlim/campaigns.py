@@ -14,6 +14,7 @@ import csv
 import hashlib
 import inspect
 import json
+import re
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -70,9 +71,6 @@ class Campaign:
         parameters, integrator = data.get("parameters", {}), data.get("integrator", {})
         if not (isinstance(parameters, dict) and isinstance(integrator, dict)):
             raise ValueError("campaign 'parameters' and 'integrator' must be objects")
-        if "record_states" in integrator:
-            raise ValueError("'record_states' is not a campaign setting: every member detects "
-                             "events, which need its recorded states")
         unknown = set(integrator) - {f.name for f in fields(IntegratorConfig)}
         if unknown:
             raise ValueError(f"unknown integrator fields: {sorted(unknown)}")
@@ -470,9 +468,14 @@ def write_campaign_result(result: CampaignResult, out_dir) -> dict:
     """One report JSON per run plus summary.csv and summary.json.
 
     Output is a pure function of the campaign inputs: identical campaigns
-    write byte-identical files (no timestamps anywhere)."""
+    write byte-identical files (no timestamps anywhere), and a report-<int>.json
+    left by an earlier, larger campaign in out_dir is deleted."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for path in out.glob("report-*.json"):
+        index = re.fullmatch(r"report-([0-9]+)\.json", path.name)
+        if index and int(index[1]) >= len(result.reports):
+            path.unlink()
     report_paths = []
     for idx, rep in enumerate(result.reports):
         path = out / f"report-{idx:04d}.json"

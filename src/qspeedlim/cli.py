@@ -114,7 +114,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_decay(args) -> int:
     """Single time-independent run: trajectory, survival-bound curve, and one
     inequality report. The curve file carries the data a plot would show."""
-    _print_units_header(args.hbar)
+    cfg = _integrator(args)
     if args.two_level:
         h = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
         psi0 = StateVector.normalized(np.array([1.0, 1.0]))
@@ -126,8 +126,8 @@ def _cmd_decay(args) -> int:
         psi0 = random_state(args.dim, [args.seed, 17])
         provenance = {"command": "decay", "system": "gue",
                       "dim": args.dim, "seed": args.seed}
+    _print_units_header(cfg.hbar)
 
-    cfg = _integrator(args)
     report, traj = run_time_independent(h, psi0, cfg, provenance, args.horizon, beta=args.beta)
     m = report.moments
 

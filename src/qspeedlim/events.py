@@ -7,8 +7,9 @@ a grid scan for local minima below a coarse threshold followed by
 golden-section refinement on the grid in s = t/hbar that the run walked, to a
 width relative to its s-horizon. Trajectory.overlap_at_s gives the overlap
 under the Hamiltonian the trajectory carries (a spectral sum, or one short
-step from a recorded grid state), so no caller passes H and no evaluation
-depends on the time unit; event times and widths leave multiplied by hbar.
+step from a grid state the step loop kept), so no caller passes H and no
+evaluation depends on the time unit; event times and widths leave multiplied
+by hbar.
 The reported bracket stops shrinking once round-off can steer the search, so
 a flat minimum reports the bracket it is known to lie in.
 """

@@ -28,8 +28,8 @@ factor at s_aK times a fine one at s_b, so the grid's overlaps and norms are
 products of two phase tables of about K rows each. An interpolated H(t), and
 every rk4 run, walk the step grid. A Trajectory carries the H it ran under, so
 Trajectory.overlap_at(t) gives the overlap off the grid with no other input:
-the spectral sum, or one step from a recorded state by a kernel built once
-per trajectory.
+the spectral sum, or one step from a grid state by a kernel built once per
+trajectory; every step loop keeps its (steps + 1) x d grid states for this.
 
 H becomes a step in one place, a _TaylorKernel built once per run. It stacks
 the operators as flat rows, float64 when every term is real (as
@@ -110,7 +110,6 @@ class IntegratorConfig:
     steps: int | None = None
     norm_tolerance: float = 1e-9
     hbar: float = 1.0
-    record_states: bool = True  # step loops only; a closed-form run keeps its spectrum
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -126,8 +125,6 @@ class IntegratorConfig:
                              f"got {self.hbar!r}")
         if not (self.steps is None or is_number(self.steps, numbers.Integral) and self.steps >= 1):
             raise ValueError(f"steps must be an integer of at least 1, got {self.steps!r}")
-        if not isinstance(self.record_states, bool):
-            raise ValueError(f"record_states must be true or false, got {self.record_states!r}")
 
     def resolve_steps(self, horizon: float) -> int:
         if self.dt is None:
@@ -139,22 +136,23 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class BetaPolicy:
-    """Reference-phase policy beta(t): identically zero, a constant, or
-    proportional to the problem envelope g(t/T) of an interpolated run."""
+    """Reference-phase policy beta(t): a constant (zero() is the constant 0,
+    labelled "zero"), or proportional to the problem envelope g(t/T) of an
+    interpolated run."""
 
     kind: str
     beta0: float = 0.0
     name: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "proportional"):
+        if self.kind not in ("constant", "proportional"):
             raise ValueError(f"unknown beta policy kind {self.kind!r}")
         if not (is_number(self.beta0) and math.isfinite(self.beta0)):
             raise ValueError(f"beta0 must be a finite number, got {self.beta0!r}")
 
     @classmethod
     def zero(cls) -> "BetaPolicy":
-        return cls("zero")
+        return cls.constant(0.0, name="zero")
 
     @classmethod
     def constant(cls, beta0: float, name=None) -> "BetaPolicy":
@@ -168,16 +166,12 @@ class BetaPolicy:
     def label(self) -> str:
         if self.name is not None:
             return self.name
-        if self.kind == "zero":
-            return "zero"
         if self.kind == "constant":
             return f"const{self.beta0:g}"
         return f"gprop{self.beta0:g}"
 
     def values(self, times: np.ndarray, h) -> np.ndarray:
         """beta sampled on the time grid."""
-        if self.kind == "zero":
-            return np.zeros_like(times)
         if self.kind == "constant":
             return np.full_like(times, self.beta0)
         if not isinstance(h, InterpolatedHamiltonian):
@@ -196,7 +190,7 @@ class Trajectory:
     hamiltonian: HermitianOperator | InterpolatedHamiltonian  # the H(t) the run evolved under
     initial_state: StateVector
     final_state: StateVector
-    states: np.ndarray | None  # grid states of a step loop with record_states
+    states: np.ndarray | None  # grid states of a step loop; None for a closed form
     spectrum: tuple | None  # (w, V, c) of a fixed H solved in closed form
     method: str
     ds: float  # the step in s = t/hbar that the run walked
@@ -233,13 +227,11 @@ class Trajectory:
     def overlap_at_s(self, s: float) -> complex:
         """<psi|phi0> at s = t/hbar off the grid: the spectral sum of a closed-form
         trajectory, or one midpoint-exponential step [s_k, s] of self.hamiltonian
-        by self._kernel from the nearest earlier recorded state (unitary, so safe
-        whatever the method), which a step loop run without record_states lacks."""
+        by self._kernel from the nearest earlier grid state (unitary, so safe
+        whatever the method)."""
         if self.spectrum is not None:
             w, _, c = self.spectrum
             return np.vdot(np.exp((-1j * s) * w) * c, c)
-        if self.states is None:
-            raise ValueError("an off-grid overlap needs recorded states or a closed-form spectrum")
         k = min(int(s / self.ds), len(self.times) - 1)
         sk = k * self.ds
         psi = self.states[k]
@@ -463,13 +455,11 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
                 k4 = deriv(end, psi + ds * k3)
                 out[:] = psi + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         overlaps = np.empty(nsteps + 1, dtype=complex)
-        # every grid state when recording, else a ring of two: step k reads row
-        # k and writes row k + 1, modulo the ring
-        ring = np.empty((nsteps + 1 if cfg.record_states else 2, h.dim), dtype=complex)
-        ring[0] = phi0
+        states = np.empty((nsteps + 1, h.dim), dtype=complex)
+        states[0] = phi0
         norm_max_dev = 0.0
         for k in range(nsteps + 1):
-            psi = ring[k % len(ring)]
+            psi = states[k]
             re, im = psi.real, psi.imag  # np.linalg.norm's arithmetic, without its wrapper
             norm = math.sqrt(re.dot(re) + im.dot(im))
             dev = abs(norm - 1.0)
@@ -479,10 +469,8 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
             overlaps[k] = np.vdot(psi, phi0)
             if k == nsteps:
                 break
-            step(k, psi, ring[(k + 1) % len(ring)])
-        if cfg.record_states:
-            states = ring
-            states.setflags(write=False)
+            step(k, psi, states[k + 1])
+        states.setflags(write=False)
 
     s *= hbar  # the grid leaves as times t
     # every state passed the norm check, so each overlap and distance is finite
@@ -513,7 +501,7 @@ def convergence_order(h, psi0, horizon, cfg: IntegratorConfig | None = None) -> 
     base = cfg.resolve_steps(horizon)
 
     def final_state(mult):
-        sub = replace(cfg, dt=None, steps=base * mult, record_states=False)
+        sub = replace(cfg, dt=None, steps=base * mult)
         return evolve(h, psi0, horizon, cfg=sub, betas=[BetaPolicy.zero()]).final_state
 
     ref = final_state(16).amplitudes

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -337,6 +338,16 @@ class TestCampaignDispatch:
         assert result.kind == "qac-ising"
         assert result.passed
 
+    @pytest.mark.parametrize("cfg", [
+        IntegratorConfig(),
+        IntegratorConfig(method="rk4", dt=0.01, norm_tolerance=1e-7, hbar=0.5),
+        IntegratorConfig(steps=7),
+    ], ids=["default", "every-field-set", "steps"])
+    def test_every_integrator_field_round_trips(self, cfg):
+        # a campaign file can spell every setting of the integrator
+        campaign = Campaign.from_dict({"kind": "gue-ensemble", "integrator": asdict(cfg)})
+        assert campaign.integrator == cfg
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             Campaign(kind="frobnicate")
@@ -392,3 +403,12 @@ class TestWriteCampaignResult:
         assert loaded["kind"] == "gue-ensemble"
         assert loaded["n_runs"] == 1
         assert loaded["config_hash"] == result.summary["config_hash"]
+
+    def test_smaller_rerun_deletes_stale_reports(self, tmp_path):
+        write_campaign_result(run_gue_ensemble(dim=2, seeds=range(6), integrator=FAST), tmp_path)
+        (tmp_path / "report-notes.json").write_text("{}")  # not a numbered report: kept
+        paths = write_campaign_result(run_gue_ensemble(dim=2, seeds=range(2), integrator=FAST),
+                                      tmp_path)
+        reports = sorted(path.name for path in tmp_path.glob("report-*.json"))
+        assert reports == ["report-0000.json", "report-0001.json", "report-notes.json"]
+        assert [path.name for path in paths["reports"]] == reports[:2]

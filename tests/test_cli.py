@@ -537,6 +537,19 @@ class TestDecay:
         last = (tmp_path / "decay.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--dim", "4", "--hbar", "1e-310"],
+        ["decay", "--hbar", "1e-310"],
+        ["decay"],
+    ], ids=["dim-hbar", "hbar", "bare"])
+    def test_prints_nothing_before_its_error(self, tmp_path, capfd, argv):
+        # the units header follows the inputs, as on the campaign verbs
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        out, err = capfd.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSubnormalHbar:
     """An hbar outside the float range is named as the fault. Below the smallest

@@ -205,26 +205,10 @@ class TestQueryAndRefinement:
         assert len(widths) == 5
         assert width == pytest.approx(widths[-1])
 
-    def test_needs_recorded_states(self):
-        # a step-loop trajectory without states has nothing to refine from
-        H = gap_hamiltonian()
-        traj = evolve(H, PLUS, horizon=4.0,
-                      cfg=IntegratorConfig(method="rk4", record_states=False))
-        with pytest.raises(ValueError, match="states"):
-            first_orthogonal(traj)
-
-    def test_unrefined_trajectory_needs_no_states(self):
-        # a basis state of diag(0, 1) keeps overlap 1, so no minimum is
-        # refined and no off-grid overlap, hence no state, is ever needed
-        traj = evolve(gap_hamiltonian(), StateVector.normalized(np.array([1.0, 0.0])),
-                      horizon=4.0, cfg=IntegratorConfig(method="rk4", record_states=False))
-        res = first_orthogonal(traj)
-        assert not res.triggered and res.functional_value == pytest.approx(1.0)
-
     def test_closed_form_refines_without_states(self):
         # a fixed H under midpoint-exponential keeps its spectrum, not states
         H = gap_hamiltonian()
-        traj = evolve(H, PLUS, horizon=4.0, cfg=IntegratorConfig(record_states=False))
+        traj = evolve(H, PLUS, horizon=4.0)
         assert traj.states is None and traj.spectrum is not None
         res = first_orthogonal(traj)
         assert res.triggered

@@ -268,8 +268,7 @@ class TestClosedFormAgainstDenseLoop:
         # ||H|| dt <= 0.004 on every case, so rk4's global error at 8000
         # steps is at round-off level
         exact = evolve(H, psi0, horizon, cfg=IntegratorConfig(steps=8000))
-        fine = evolve(H, psi0, horizon,
-                      cfg=IntegratorConfig(method="rk4", steps=8000, record_states=False))
+        fine = evolve(H, psi0, horizon, cfg=IntegratorConfig(method="rk4", steps=8000))
         assert np.max(np.abs(exact.overlaps - fine.overlaps)) <= 1e-10
 
 
@@ -683,6 +682,10 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="beta0"):
             BetaPolicy("proportional", math.nan)
 
+    def test_zero_policy_is_the_named_constant_zero(self):
+        assert BetaPolicy.zero() == BetaPolicy.constant(0.0, name="zero")
+        assert BetaPolicy.zero().label == "zero"
+
     def test_overflowing_phase_integral_raises_integration_error(self):
         # beta = 1e308 is finite, but its phase integral overflows to inf and
         # every distance after t = 0 comes out NaN
@@ -884,20 +887,6 @@ class TestExport:
                         cfg=IntegratorConfig(method="rk4", steps=100))
         np.testing.assert_allclose(looped.states[0], PLUS.amplitudes, atol=1e-15)
         np.testing.assert_allclose(looped.states[-1], looped.final_state.amplitudes, atol=0)
-
-    def test_states_recording_optional(self):
-        traj = evolve(two_level_gap(), PLUS, horizon=2.0,
-                      cfg=IntegratorConfig(steps=100, record_states=False))
-        assert traj.states is None
-        # a step loop without recording keeps a ring of two rows and takes the
-        # same steps, bit for bit
-        ih, psi0 = _annealer(_chain(3), 4.0), StateVector.uniform(8)
-        kept, ring = (evolve(ih, psi0, 4.0, cfg=IntegratorConfig(record_states=record))
-                      for record in (True, False))
-        assert ring.states is None and kept.states is not None
-        assert np.array_equal(ring.overlaps, kept.overlaps)
-        assert ring.norm_max_dev == kept.norm_max_dev
-        assert np.array_equal(ring.final_state.amplitudes, kept.final_state.amplitudes)
 
 
 def _csv_writer_oracle(path, header, columns):
