@@ -28,30 +28,41 @@ factor at s_aK times a fine one at s_b, so the grid's overlaps and norms are
 products of two phase tables of about K rows each. An interpolated H(t), and
 every rk4 run, walk the step grid. A Trajectory carries the H it ran under, so
 Trajectory.overlap_at(t) gives the overlap off the grid with no other input:
-the spectral sum, or one step from a grid state by a kernel built once per
-trajectory; every step loop keeps its (steps + 1) x d grid states for this.
+the spectral sum at any time, or, inside the walked grid, one step from a
+grid state by a kernel built once per trajectory; every step loop keeps its
+(steps + 1) x d grid states for this.
 
 H becomes a step in one place, a _TaylorKernel built once per run. It stacks
 the operators as flat rows, float64 when every term is real (as
 transverse_initial, ising_problem and shift_ground_to_zero always are), and
-assembles each step's d x d matrix in place from one weight row, so no step
-samples the schedule or allocates a d x d array. A midpoint-exponential step
-[s0, s1] applies exp(-i H_k (s1 - s0)), with H_k the exact means of f and g
-over the step (the first Magnus term; Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009)) from one InterpolatedHamiltonian.step_terms table per run,
-as the Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))
-of the smallest degree m whose theta_m covers rho = (s1 - s0) * sum |weight|
-||operator||_1 >= ||exponent||_2; theta_m bounds the tail beyond degree m by
-unit round-off, so the step is exact to round-off. A step past theta_20
-(about 1.46) is one eigh, so a step costs at most 20 products or one eigh at
-any ds; annealing runs at the default 2000 steps take 5 to 8. Each rk4 stage
-takes H(s) from one InterpolatedHamiltonian.terms table per run. A real
-matrix multiplies each complex state as a (d, 2) float block.
+builds each step's d x d matrix from one weight row, so no step samples the
+schedule. A midpoint-exponential step [s0, s1] applies exp(-i H_k (s1 - s0)),
+with H_k the exact means of f and g over the step (the first Magnus term;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) from one
+InterpolatedHamiltonian.step_terms table per run, as the Taylor series
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) of the smallest
+degree m whose theta_m covers rho = (s1 - s0) * sum |weight| ||operator||_1
+>= ||exponent||_2; theta_m bounds the tail beyond degree m by unit round-off,
+so the step is exact to round-off. A step past theta_20 (about 1.46) is an
+eigh instead, so no series passes degree 20 at any ds; annealing runs at the
+default 2000 steps take degrees 5 to 8. The midpoint walk has two forms,
+chosen by dimension. Up to _TABLE_DIM = 16, where numpy's per-call cost
+outweighs the products, each block of _BLOCK = 256 steps becomes one table of
+d x d propagators U_k, the same series summed as matrices (theta_m bounds the
+matrix series too; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+(2009)) by one batched matmul per power, or one batched eigh, and the walk is
+psi_(k+1) = U_k psi_k. Above it, each step applies its series to the state, a
+product per degree. Each rk4 stage takes H(s) from one
+InterpolatedHamiltonian.terms table per run. A real matrix multiplies each
+complex state as a (d, 2) float block.
 
 evolve runs with numpy's overflow and invalid warnings off: a check reports
 every inf or NaN, where it becomes certain. Each policy's phase factor and
 integrand read only the grid, beta and H(s) phi0, so they are checked before
-any step; then the step bounds, the largest phase and each state's norm.
+any step; then the step bounds, the largest phase and the states' norms.
+Every step loop checks norms and takes overlaps once per block of _BLOCK
+steps, each in one vectorized call over the block's grid states, and reports
+the first state past the tolerance with its own norm and time.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 A table of at least two blocks is formatted on two cores where os.fork exists,
@@ -91,6 +102,16 @@ FLOAT_FLOOR = 1e-7
 _THETA = [(2.0**-54 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 21)]
 # the series coefficients (-i)^j / j! of exp(-i X) for j = 0..20
 _SERIES = np.array([(1, -1j, -1, 1j)[j % 4] / math.factorial(j) for j in range(len(_THETA) + 1)])
+
+# midpoint walks at dim <= _TABLE_DIM step by tables of propagators, larger
+# ones by apply. One 2,000-step run of an n-qubit chain (T = 1, 4, 16, best of
+# 5; 2-core Xeon, one BLAS thread) takes, table against apply, 6-11 ms
+# against 16-42 at d = 8, 18-28 against 26-42 at d = 16, 72-105 against
+# 23-40 at d = 32 and 320-440 against 34-73 at d = 64
+_TABLE_DIM = 16
+# steps per block of every step loop: its norm check, its overlaps and, at
+# dim <= _TABLE_DIM, its table of at most 256 * 16**2 * 16 B = 1 MiB
+_BLOCK = 256
 
 _CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the trajectory
 
@@ -226,18 +247,29 @@ class Trajectory:
 
     def overlap_at_s(self, s: float) -> complex:
         """<psi|phi0> at s = t/hbar off the grid: the spectral sum of a closed-form
-        trajectory, or one midpoint-exponential step [s_k, s] of self.hamiltonian
-        by self._kernel from the nearest earlier grid state (unitary, so safe
-        whatever the method)."""
+        trajectory, at any s, or one midpoint-exponential step [s_k, s] of
+        self.hamiltonian by self._kernel from the nearest earlier grid state
+        (unitary, so safe whatever the method), for s in the walked grid
+        [0, n ds]. An s within evolve's relative 1e-12 of n ds is its end,
+        so t = horizon gives the last grid overlap whatever the rounding of
+        t / hbar."""
         if self.spectrum is not None:
             w, _, c = self.spectrum
             return np.vdot(np.exp((-1j * s) * w) * c, c)
-        k = min(int(s / self.ds), len(self.times) - 1)
+        n = len(self.times) - 1
+        end = n * self.ds
+        if abs(s - end) <= 1e-12 * end:
+            return self.overlaps[n]
+        if not 0.0 <= s < end:  # NaN fails this test too
+            raise ValueError(f"t = {s * self.hbar:g} is outside the trajectory's horizon "
+                             f"[0, {self.horizon:g}]")
+        k = int(s / self.ds)
         sk = k * self.ds
-        psi = self.states[k]
-        if s > sk:
-            rows, _, degrees = self._kernel.steps(np.array([sk, s]), s - sk)
-            psi = self._kernel.apply(rows[0], psi, degrees[0], np.empty(len(psi), complex))
+        if not s > sk:
+            return self.overlaps[k]
+        rows, _, degrees = self._kernel.steps(np.array([sk, s]), s - sk)
+        psi = self._kernel.apply(rows[0], self.states[k], degrees[0],
+                                 np.empty(self.states.shape[1], complex))
         return np.vdot(psi, self.initial_state.amplitudes)
 
 
@@ -324,6 +356,48 @@ class _TaylorKernel:
             np.matmul(X, blocks[j - 1], out=blocks[j])
         return np.dot(_SERIES[:degree + 1], self.rows[:degree + 1], out=out)
 
+    def propagators(self, rows, degrees):
+        """exp(-i X_k), X_k = rows[k] @ ops, for a block of steps as one
+        (len(rows), d, d) table: each row's Taylor sum to its own degree m_k
+        (the theta_m bound holds for the matrix too; Al-Mohy & Higham, SIAM J.
+        Matrix Anal. Appl. 31, 970 (2009)), a row past _THETA by one batched
+        eigh. c_j = (-i)^j / j! is a_j for even j and -i a_j for odd j, a_j
+        real, so with Y = X^2 the sum is E - i X O, E = sum a_2i Y^i and
+        O = sum a_(2i+1) Y^i, each by Horner's rule with one batched matmul
+        per power and a_j = 0 past each row's degree; a real X takes real
+        products only."""
+        d = self.h.dim
+        X = (rows @ self.ops).reshape(-1, d, d)
+        degrees = np.array(degrees)
+        past = degrees > len(_THETA)
+        if past.any():  # their series sums stay the identity, overwritten below
+            w, V = np.linalg.eigh(X[past])
+            eig = (V * np.exp(-1j * w)[:, None, :]) @ V.conj().swapaxes(1, 2)
+            X[past], degrees[past] = 0.0, 0
+        top = int(degrees.max())
+        a = np.where(np.arange(top + 1) <= degrees[:, None],
+                     (_SERIES.real - _SERIES.imag)[:top + 1], 0.0)
+        Y = X @ X
+
+        def horner(first):  # sum of a_j Y^((j - first) / 2) over j = first, first + 2, ...
+            acc = np.zeros_like(X)
+            for i, j in enumerate(reversed(range(first, top + 1, 2))):
+                if i:
+                    acc = Y @ acc
+                acc.reshape(len(X), d * d)[:, ::d + 1] += a[:, j, None]  # the diagonal
+            return acc
+
+        even, odd = horner(0), X @ horner(1)
+        if np.iscomplexobj(X):
+            out = even - 1j * odd
+        else:  # the parts in place: a real array times 1j takes numpy's slow casting loop
+            out = np.empty(X.shape, complex)
+            out.real = even
+            np.negative(odd, out=out.imag)
+        if past.any():
+            out[past] = eig
+        return out
+
     def product(self, row, psi):
         """X psi, X = row @ ops, in a buffer the next call overwrites."""
         np.dot(row, self.ops, out=self._flat)
@@ -332,9 +406,16 @@ class _TaylorKernel:
         return self.rows[1]
 
 
-def _norm_error(norm, time, tolerance) -> IntegrationError:
-    return IntegrationError(f"norm drifted to {norm:.12g} (tolerance {tolerance:g}); reduce "
-                            "dt or switch method", time=time)
+def _norm_dev(norms, times, tolerance) -> float:
+    """The largest |norm - 1| over grid states at the given times; the first
+    state past the tolerance raises an IntegrationError with its norm and time."""
+    devs = np.abs(norms - 1.0)
+    bad = np.flatnonzero(~(devs <= tolerance))  # NaN fails this test too
+    if bad.size:
+        k = bad[0]
+        raise IntegrationError(f"norm drifted to {norms[k]:.12g} (tolerance {tolerance:g}); "
+                               "reduce dt or switch method", time=times[k])
+    return float(devs.max())
 
 
 def _closed_form(H, phi0, s, cfg):
@@ -355,14 +436,11 @@ def _closed_form(H, phi0, s, cfg):
     fine = np.exp(np.outer(s[:K], rate)) * c
     overlaps = np.conj(coarse @ (fine * c.conj()).T).ravel()[:n]
     norms = np.sqrt((np.abs(coarse) ** 2 @ (np.abs(fine) ** 2).T).ravel()[:n])
-    devs = np.abs(norms - 1.0)
-    bad = np.flatnonzero(~(devs <= cfg.norm_tolerance))  # NaN fails this test too
-    if bad.size:
-        raise _norm_error(norms[bad[0]], s[bad[0]], cfg.norm_tolerance)
+    norm_max_dev = _norm_dev(norms, s, cfg.norm_tolerance)
     for x in (w, V, c):
         x.setflags(write=False)
     a, b = divmod(n - 1, K)
-    return (w, V, c), overlaps, V @ (coarse[a] * fine[b]), float(devs.max())
+    return (w, V, c), overlaps, V @ (coarse[a] * fine[b]), norm_max_dev
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a check below reports every inf or NaN
@@ -441,36 +519,46 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
                                        time=s[bad[0]] * hbar)
             _check_phase(float(np.sum(rho)), horizon)
 
-            def step(k, psi, out):
-                kernel.apply(rows[k], psi, degrees[k], out)
+            if h.dim <= _TABLE_DIM:
+                def walk(lo, hi):
+                    grid = list(states[lo:hi + 1])
+                    for U, psi, out in zip(kernel.propagators(rows[lo:hi], degrees[lo:hi]),
+                                           grid, grid[1:]):
+                        np.dot(U, psi, out=out)
+            else:
+                def walk(lo, hi):
+                    for k in range(lo, hi):
+                        kernel.apply(rows[k], states[k], degrees[k], states[k + 1])
         else:  # H at each step's stages s_k, s_k + ds/2 and s_k + ds
             stages = kernel.points(s[:-1, None] + np.array([0.0, ds / 2.0, ds]))
             deriv = lambda row, psi: -1j * kernel.product(row, psi)
 
-            def step(k, psi, out):
-                start, mid, end = stages[k]
-                k1 = deriv(start, psi)
-                k2 = deriv(mid, psi + (ds / 2.0) * k1)
-                k3 = deriv(mid, psi + (ds / 2.0) * k2)
-                k4 = deriv(end, psi + ds * k3)
-                out[:] = psi + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            def walk(lo, hi):
+                for k in range(lo, hi):
+                    psi = states[k]
+                    start, mid, end = stages[k]
+                    k1 = deriv(start, psi)
+                    k2 = deriv(mid, psi + (ds / 2.0) * k1)
+                    k3 = deriv(mid, psi + (ds / 2.0) * k2)
+                    k4 = deriv(end, psi + ds * k3)
+                    states[k + 1] = psi + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         overlaps = np.empty(nsteps + 1, dtype=complex)
         states = np.empty((nsteps + 1, h.dim), dtype=complex)
         states[0] = phi0
         norm_max_dev = 0.0
-        for k in range(nsteps + 1):
-            psi = states[k]
-            re, im = psi.real, psi.imag  # np.linalg.norm's arithmetic, without its wrapper
-            norm = math.sqrt(re.dot(re) + im.dot(im))
-            dev = abs(norm - 1.0)
-            if not dev <= cfg.norm_tolerance:  # NaN fails this test too
-                raise _norm_error(norm, s[k] * hbar, cfg.norm_tolerance)
-            norm_max_dev = max(norm_max_dev, dev)
-            overlaps[k] = np.vdot(psi, phi0)
-            if k == nsteps:
-                break
-            step(k, psi, states[k + 1])
+        # a block of steps at a time; then its grid states, the first included
+        # again, are checked and their overlaps taken in one call each
+        for lo in range(0, nsteps, _BLOCK):
+            hi = min(lo + _BLOCK, nsteps)
+            walk(lo, hi)
+            block = states[lo:hi + 1]
+            re, im = block.real, block.imag  # np.linalg.norm's arithmetic, row by row
+            norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+            norm_max_dev = max(norm_max_dev,
+                               _norm_dev(norms, s[lo:hi + 1] * hbar, cfg.norm_tolerance))
+            overlaps[lo:hi + 1] = np.vecdot(block, phi0)  # np.vdot's arithmetic, row by row
         states.setflags(write=False)
+        psi = states[-1]
 
     s *= hbar  # the grid leaves as times t
     # every state passed the norm check, so each overlap and distance is finite

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -592,6 +593,111 @@ class TestTaylorStepAgainstEigh:
         assert event.triggered and abs(event.time - math.pi) <= 1e-6
 
 
+def _walk_cases():
+    # every Taylor case the tables serve, the 4-qubit chain at the table's
+    # largest dimension, and the steeply concave poly:0.1
+    cases = [c for c in TAYLOR_CASES if c[1].dim <= propagate._TABLE_DIM]
+    cases += [(f"chain4-T{T:g}", _annealer(_chain(4), T), 2000, 1.0) for T in (1.0, 4.0, 16.0)]
+    return cases + [("chain3-poly0.1", _annealer(_chain(3), 4.0, Schedule.polynomial(0.1)),
+                     2000, 1.0)]
+
+
+WALK_CASES = _walk_cases()
+
+
+class TestPropagatorTables:
+    """The midpoint walk by tables of step propagators at small dimension,
+    against the walk that applies each step's series to the state, which is
+    the oracle: overlaps and final states to 1e-12, event flags equal."""
+
+    @pytest.mark.parametrize("name, ih, steps, hbar", WALK_CASES,
+                             ids=[c[0] for c in WALK_CASES])
+    def test_matches_the_apply_walk(self, name, ih, steps, hbar, monkeypatch):
+        psi0, cfg = StateVector.uniform(ih.dim), IntegratorConfig(steps=steps, hbar=hbar)
+        table = evolve(ih, psi0, ih.total_time, cfg=cfg)
+        monkeypatch.setattr(propagate, "_TABLE_DIM", 0)
+        applied = evolve(ih, psi0, ih.total_time, cfg=cfg)
+        assert np.max(np.abs(table.overlaps - applied.overlaps)) <= 1e-12
+        np.testing.assert_allclose(table.final_state.amplitudes, applied.final_state.amplitudes,
+                                   atol=1e-12)
+        for detect in (first_orthogonal, first_antipodal):
+            assert detect(table).triggered == detect(applied).triggered
+
+    @pytest.mark.parametrize("n, table", [(1, True), (3, True), (4, True), (5, False),
+                                          (6, False)])
+    def test_walk_is_chosen_by_dimension(self, n, table, monkeypatch):
+        # suite-small's projector and 3-qubit chain walk by tables, and
+        # qac-anneal's 6-qubit chain applies each step
+        instance = IsingInstance(n=1, fields=((0, -0.5),)) if n == 1 else _chain(n)
+        ih = _annealer(instance, 4.0)
+        calls = collections.Counter()
+        for name in ("apply", "propagators"):
+            method = getattr(propagate._TaylorKernel, name)
+            monkeypatch.setattr(propagate._TaylorKernel, name,
+                                lambda self, *args, _name=name, _method=method:
+                                calls.update([_name]) or _method(self, *args))
+        evolve(ih, StateVector.uniform(ih.dim), 4.0)
+        blocks = math.ceil(2000 / propagate._BLOCK)
+        assert calls == ({"propagators": blocks} if table else {"apply": 2000})
+
+    @pytest.mark.parametrize("walk", ["table", "apply", "rk4"])
+    def test_norm_failure_reports_the_first_failing_state(self, walk, monkeypatch):
+        # a series scaled by 1 + 1e-9 grows the norm every midpoint step, and
+        # rk4 at ds ||H|| ~ 0.03 shrinks it every step, so a tolerance set at
+        # the deviation of state 600 is first exceeded partway through the
+        # walk, past its first block of checks
+        ih, psi0 = _annealer(_chain(3), 16.0), StateVector.uniform(8)
+        if walk == "apply":
+            monkeypatch.setattr(propagate, "_TABLE_DIM", 0)
+        if walk != "rk4":
+            monkeypatch.setattr(propagate, "_SERIES", propagate._SERIES * (1.0 + 1e-9))
+        cfg = IntegratorConfig(method="rk4" if walk == "rk4" else "midpoint-exponential",
+                               steps=2000, norm_tolerance=1.0)
+        traj = evolve(ih, psi0, 16.0, cfg=cfg)
+        norms = np.array([np.linalg.norm(state) for state in traj.states])
+        devs = np.abs(norms - 1.0)
+        k = np.flatnonzero(devs > devs[600])[0]
+        assert propagate._BLOCK < k < 2000
+        with pytest.raises(IntegrationError) as err:
+            evolve(ih, psi0, 16.0, cfg=dataclasses.replace(cfg, norm_tolerance=devs[600]))
+        assert err.value.time == traj.times[k]
+        assert str(err.value).startswith(f"norm drifted to {norms[k]:.12g} ")
+
+    def test_past_theta_rows_take_one_batched_eigh(self, monkeypatch):
+        # a block mixing steps inside and past theta_20 sums the first as
+        # series and takes the second from one eigh of their stack
+        ih = _annealer(_chain(3), 16.0)
+        kernel = propagate._TaylorKernel(ih)
+        s = np.array([0.0, 0.01, 3.0, 3.02, 8.0])
+        rows, _, degrees = kernel.steps(s, 1.0)
+        rows *= np.diff(s)[:, None]  # each step over its own width
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        table = kernel.propagators(rows, degrees)
+        assert calls == [(2, 8, 8)]
+        for row, degree, U in zip(rows, degrees, table):
+            for psi in np.eye(8, dtype=complex):
+                applied = kernel.apply(row, psi, degree, np.empty(8, complex))
+                assert np.max(np.abs(U @ psi - applied)) <= 1e-14
+
+
+class TestOverlapOffTheGrid:
+    """Trajectory.overlap_at of a step loop inside and outside its walked grid."""
+
+    # at hbar 0.9 and horizon 1.9, (2000 ds) / ds rounds below 2000, so the
+    # horizon needs the rounding allowance to reach the last grid state
+    @pytest.mark.parametrize("hbar, horizon", [(1.0, 2.0), (0.9, 1.9)])
+    def test_horizon_ends_the_walked_grid(self, hbar, horizon):
+        traj = evolve(_annealer(_chain(3), 4.0), StateVector.uniform(8), horizon,
+                      cfg=IntegratorConfig(hbar=hbar))
+        assert traj.overlap_at(0.0) == traj.overlaps[0]
+        assert traj.overlap_at(traj.horizon) == traj.overlaps[-1]
+        for t in (-1.0, 3.9, 5.0, math.nan):
+            message = f"t = {t:g} is outside the trajectory's horizon [0, {traj.horizon:g}]"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                traj.overlap_at(t)
+
+
 class TestNormPreservation:
     def test_midpoint_step_drift(self):
         traj = evolve(single_qubit_annealer(T=10.0), StateVector.uniform(2), horizon=10.0)
@@ -709,6 +815,7 @@ class TestInputValidation:
             raise AssertionError("a doomed run took a step")
 
         monkeypatch.setattr(propagate._TaylorKernel, "apply", step)
+        monkeypatch.setattr(propagate._TaylorKernel, "propagators", step)
         with pytest.raises(IntegrationError, match="const1e\\+308"):
             evolve(projector_annealer(T=1.0), StateVector.uniform(2), horizon=1.0,
                    betas=[BetaPolicy.zero(), BetaPolicy.constant(1e308)])
