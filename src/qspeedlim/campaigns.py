@@ -6,6 +6,14 @@ ensembles, annealing-style interpolation runs over Ising instances, and an
 exploratory product-versus-entangled decay comparison. Each member run yields
 one BoundReport; results aggregate into margin quantiles, event trigger
 rates, and a violations list that is expected to stay empty.
+
+A run's identity comes from _identity alone: its config_hash digests the
+kind, the campaign's parameters and every IntegratorConfig field (so adding
+or removing a field re-hashes every campaign), and each member's provenance
+is {"campaign": kind, **fields, "config_hash": ...} with fields case
+(analytic-two-level); dim, seed, shift_ground (gue-ensemble); instance, T,
+shift_problem_ground (qac-ising); seed, variant, subsystem_dim
+(entanglement-compare).
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import inspect
 import json
 import re
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -41,8 +50,6 @@ from .hamiltonians import (
 )
 from .propagate import BetaPolicy, IntegratorConfig, evolve
 from .schedules import Schedule, schedule_integral
-
-KINDS = ("analytic-two-level", "gue-ensemble", "qac-ising", "entanglement-compare")
 
 # types of the scalar runner parameters a campaign file may set
 _PARAM_TYPES = {"dim": Integral, "subsystem_dim": Integral, "horizon_mult": Real,
@@ -98,9 +105,32 @@ def _provenance_key(report: BoundReport) -> str:
     return json.dumps(report.provenance, sort_keys=True)
 
 
-def _config_hash(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+def _native(value):
+    """value as JSON reads it back: numpy scalars become Python ones, tuples lists."""
+    return json.loads(json.dumps(value, default=lambda v: v.tolist()))
+
+
+def _identity(kind: str, integrator: IntegratorConfig | None, **params) -> tuple:
+    """(integrator config, member provenance builder, collector with kind and
+    config_hash bound) of one campaign run, as the module docstring describes."""
+    cfg = integrator if integrator is not None else IntegratorConfig()
+    payload = _native({"kind": kind, **params, "integrator": asdict(cfg)})
+    config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+
+    def provenance(**member_fields) -> dict:
+        return {"campaign": kind, **_native(member_fields), "config_hash": config_hash}
+
+    return cfg, provenance, partial(_collect, kind, config_hash=config_hash)
+
+
+def _checked_seeds(seeds, horizon_mult) -> list:
+    """An ensemble's seed list, after its horizon multiple is checked."""
+    if not horizon_mult > 0:
+        raise ValueError("horizon_mult must be positive")
+    seeds = _native(list(seeds))
+    if not seeds:
+        raise ValueError("seed range must be nonempty")
+    return seeds
 
 
 def _collect(kind: str, reports, config_hash: str, extras: dict | None = None) -> CampaignResult:
@@ -195,7 +225,7 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignRe
     antipodal-reaching symmetric gap, frozen dynamics, and a stationary
     eigenstate. Every inequality must hold and the event times are known.
     The horizons are multiples of hbar, so every hbar walks the same s = t/hbar."""
-    cfg = integrator if integrator is not None else IntegratorConfig()
+    cfg, provenance, collect = _identity("analytic-two-level", integrator)
     plus = StateVector.normalized(np.array([1.0, 1.0]))
     cases = [
         ("orthogonal-two-level",
@@ -208,8 +238,6 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignRe
          HermitianOperator(np.diag([0.0, 1.0]).astype(complex)),
          StateVector.basis(2, 0), 4.0),
     ]
-    config_hash = _config_hash({"kind": "analytic-two-level",
-                                "integrator": asdict(cfg)})
 
     def member(case):
         name, H, psi0, mult = case
@@ -217,13 +245,9 @@ def run_analytic_suite(integrator: IntegratorConfig | None = None) -> CampaignRe
         if not np.isfinite(horizon):
             raise ValueError(f"the {name} case's horizon of {mult:g} hbar overflows the "
                              f"float range at hbar = {cfg.hbar:g}")
-        return run_time_independent(
-            H, psi0, cfg, horizon=horizon,
-            provenance={"campaign": "analytic-two-level", "case": name,
-                        "config_hash": config_hash})[0]
+        return run_time_independent(H, psi0, cfg, provenance(case=name), horizon=horizon)[0]
 
-    reports = [member(case) for case in cases]
-    return _collect("analytic-two-level", reports, config_hash)
+    return collect([member(case) for case in cases])
 
 
 def run_gue_ensemble(dim: int, seeds, horizon_mult: float = 4.0,
@@ -232,16 +256,9 @@ def run_gue_ensemble(dim: int, seeds, horizon_mult: float = 4.0,
     """Random Hermitian matrices against Haar-random start states. The
     horizon is a multiple of the orthogonality characteristic time, so
     trigger rates stay informative across dimensions."""
-    if not horizon_mult > 0:
-        raise ValueError("horizon_mult must be positive")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seed range must be nonempty")
-    cfg = integrator if integrator is not None else IntegratorConfig()
-    config_hash = _config_hash({"kind": "gue-ensemble", "dim": dim,
-                                "seeds": seeds, "horizon_mult": horizon_mult,
-                                "shift_ground": shift_ground,
-                                "integrator": asdict(cfg)})
+    seeds = _checked_seeds(seeds, horizon_mult)
+    cfg, provenance, collect = _identity("gue-ensemble", integrator, dim=dim, seeds=seeds,
+                                         horizon_mult=horizon_mult, shift_ground=shift_ground)
 
     def member(seed):
         H = random_hermitian(dim, seed)
@@ -249,11 +266,9 @@ def run_gue_ensemble(dim: int, seeds, horizon_mult: float = 4.0,
             H = shift_ground_to_zero(H)
         return run_time_independent(
             H, random_state(dim, [seed, 17]), cfg, horizon_mult=horizon_mult,
-            provenance={"campaign": "gue-ensemble", "dim": dim, "seed": seed,
-                        "shift_ground": shift_ground, "config_hash": config_hash})[0]
+            provenance=provenance(dim=dim, seed=seed, shift_ground=shift_ground))[0]
 
-    reports = [member(seed) for seed in seeds]
-    return _collect("gue-ensemble", reports, config_hash)
+    return collect([member(seed) for seed in seeds])
 
 
 def run_qac(instance: IsingInstance, sched: Schedule | None = None,
@@ -272,7 +287,9 @@ def run_qac(instance: IsingInstance, sched: Schedule | None = None,
     T_values = [float(T) for T in T_values]
     if not T_values:
         raise ValueError("T_values must be nonempty")
-    cfg = integrator if integrator is not None else IntegratorConfig()
+    cfg, provenance, collect = _identity(
+        "qac-ising", integrator, instance=instance.to_dict(), schedule=sched.to_dict(),
+        T_values=T_values, shift_problem_ground=shift_problem_ground)
     H_I = initial_term if initial_term is not None else transverse_initial(instance.n)
     H_P = ising_problem(instance)
     if shift_problem_ground:
@@ -281,11 +298,6 @@ def run_qac(instance: IsingInstance, sched: Schedule | None = None,
         raise ValueError("initial term dimension does not match the instance")
     psi0 = StateVector.uniform(H_P.dim)
     m = state_moments(H_P, psi0)
-    config_hash = _config_hash({"kind": "qac-ising", "instance": instance.to_dict(),
-                                "schedule": sched.to_dict(),
-                                "T_values": T_values,
-                                "shift_problem_ground": shift_problem_ground,
-                                "integrator": asdict(cfg)})
 
     # adiabatic diagnostic: final population of H_P's ground space, its lowest diagonal entries
     energies = H_P.entries.diagonal().real
@@ -298,20 +310,16 @@ def run_qac(instance: IsingInstance, sched: Schedule | None = None,
         traj = evolve(ih, psi0, T, cfg=cfg, betas=betas)
         rep = check_inequalities(
             traj, m, events=_detect_events(traj),
-            provenance={"campaign": "qac-ising", "instance": instance.to_dict(),
-                        "T": T, "shift_problem_ground": shift_problem_ground,
-                        "config_hash": config_hash})
+            provenance=provenance(instance=instance.to_dict(), T=T,
+                                  shift_problem_ground=shift_problem_ground))
         pop = float(np.sum(np.abs(traj.final_state.amplitudes[ground]) ** 2))
         diag = {"T": T, "final_survival": float(traj.survival[-1]),
                 "problem_ground_population": pop}
         return rep, diag
 
-    pairs = [member(T) for T in T_values]
-    reports = [p[0] for p in pairs]
-    diags = sorted((p[1] for p in pairs), key=lambda d: d["T"])
-    return _collect("qac-ising", reports, config_hash,
-                    extras={"qac_diagnostics": diags,
-                            "g_integral": schedule_integral(sched)})
+    reports, diags = zip(*(member(T) for T in T_values))
+    return collect(reports, extras={"qac_diagnostics": sorted(diags, key=lambda d: d["T"]),
+                                    "g_integral": schedule_integral(sched)})
 
 
 def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
@@ -328,16 +336,10 @@ def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
     below 1/2) and the spread are recorded per run; their correlation is
     summarized. Only the inequality checks are asserted; any decay speedup is
     reported as data."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seed range must be nonempty")
-    if not horizon_mult > 0:
-        raise ValueError("horizon_mult must be positive")
-    cfg = integrator if integrator is not None else IntegratorConfig()
-    config_hash = _config_hash({"kind": "entanglement-compare",
-                                "subsystem_dim": subsystem_dim, "seeds": seeds,
-                                "horizon_mult": horizon_mult,
-                                "integrator": asdict(cfg)})
+    seeds = _checked_seeds(seeds, horizon_mult)
+    cfg, provenance, collect = _identity("entanglement-compare", integrator,
+                                         subsystem_dim=subsystem_dim, seeds=seeds,
+                                         horizon_mult=horizon_mult)
 
     def member(seed):
         h1 = random_hermitian(subsystem_dim, seed)
@@ -356,20 +358,14 @@ def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
         for variant, amps in variants.items():
             rep, traj = run_time_independent(
                 Hc, StateVector.normalized(amps), cfg, horizon_mult=horizon_mult, events=False,
-                provenance={"campaign": "entanglement-compare", "seed": seed,
-                            "variant": variant, "subsystem_dim": subsystem_dim,
-                            "config_hash": config_hash})
+                provenance=provenance(seed=seed, variant=variant, subsystem_dim=subsystem_dim))
             out.append((rep, {"seed": seed, "variant": variant,
                               "spread": rep.moments.spread,
                               "half_time": _half_time(traj)}))
         return out
 
-    reports, records = [], []
-    for seed in seeds:
-        for rep, rec in member(seed):
-            reports.append(rep)
-            records.append(rec)
-    records.sort(key=lambda r: (r["seed"], r["variant"]))
+    reports, records = zip(*(pair for seed in seeds for pair in member(seed)))
+    records = sorted(records, key=lambda r: (r["seed"], r["variant"]))
 
     decayed = [r for r in records if r["half_time"] is not None]
     corr = None
@@ -391,7 +387,7 @@ def run_entanglement_compare(subsystem_dim: int = 2, seeds=range(24),
     extras = {"entanglement": {"spread_halftime_correlation": corr,
                                "variant_stats": variant_stats,
                                "records": records}}
-    return _collect("entanglement-compare", reports, config_hash, extras=extras)
+    return collect(reports, extras=extras)
 
 
 def _half_time(traj) -> float | None:
@@ -412,6 +408,7 @@ _RUNNERS = {
     "qac-ising": run_qac,
     "entanglement-compare": run_entanglement_compare,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_campaign(campaign: Campaign) -> CampaignResult:
@@ -485,11 +482,7 @@ def write_campaign_result(result: CampaignResult, out_dir) -> dict:
     csv_path = out / "summary.csv"
 
     def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float) and not np.isfinite(x):
-            return ""
-        return repr(x) if isinstance(x, float) else str(x)
+        return "" if isinstance(x, float) and not np.isfinite(x) else x
 
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)

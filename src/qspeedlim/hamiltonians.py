@@ -144,6 +144,8 @@ def random_hermitian(dim: int, seed: int) -> HermitianOperator:
     complex normal entries, deterministic in the seed."""
     if not 2 <= dim <= DIM_CAP:
         raise ValueError(f"dimension must be in [2, {DIM_CAP}], got {dim}")
+    if isinstance(seed, Integral) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     M = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     return HermitianOperator((M + M.conj().T) / 2.0)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -378,6 +379,58 @@ class TestCampaignDispatch:
         bad.write_text('{"kind": "gue-ensemble",\n  "parameters": }\n')
         with pytest.raises(ValueError, match=r"broken\.json:2:\d+"):
             load_campaign(bad)
+
+
+CHAIN3 = IsingInstance(n=3, couplings=[(0, 1, -1.0), (1, 2, -1.0)],
+                       fields=[(0, 0.25), (2, -0.5)])
+
+
+class TestCampaignIdentity:
+    """config_hash digests the kind, the campaign's parameters and every
+    IntegratorConfig field. The pinned hashes are those of `verify`,
+    `ensemble --dim 2 --seeds 0..100`, the acceptance chain's
+    `qac --T 1,4,16` and `entangle --seeds 0..3`: a change that moves one
+    re-hashes every results directory of that kind, and has to say so."""
+
+    @pytest.mark.parametrize("run, config_hash, fields", [
+        (run_analytic_suite, "1bb853c8d72c", {"case"}),
+        (lambda: run_gue_ensemble(2, range(100)), "73c398bdc726",
+         {"dim", "seed", "shift_ground"}),
+        (lambda: run_qac(CHAIN3, T_values=(1, 4, 16)), "828d6001a919",
+         {"instance", "T", "shift_problem_ground"}),
+        (lambda: run_entanglement_compare(seeds=range(3)), "2adb9f71cc6c",
+         {"seed", "variant", "subsystem_dim"}),
+    ], ids=["analytic", "gue", "qac", "entangle"])
+    def test_golden_hash_and_member_provenance(self, run, config_hash, fields):
+        result = run()
+        assert result.summary["config_hash"] == config_hash
+        for rep in result.reports:
+            assert rep.provenance["campaign"] == result.kind
+            assert rep.provenance["config_hash"] == config_hash
+            assert set(rep.provenance) == {"campaign", "config_hash", *fields}
+
+    @pytest.mark.parametrize("numpy_call, python_call", [
+        (lambda: run_gue_ensemble(2, np.arange(3)), lambda: run_gue_ensemble(2, [0, 1, 2])),
+        (lambda: run_entanglement_compare(seeds=np.arange(2)),
+         lambda: run_entanglement_compare(seeds=[0, 1])),
+        (lambda: run_gue_ensemble(2, [0, 1], shift_ground=np.bool_(True)),
+         lambda: run_gue_ensemble(2, [0, 1], shift_ground=True)),
+        (lambda: run_qac(IsingInstance(n=np.int64(2))), lambda: run_qac(IsingInstance(n=2))),
+    ], ids=["gue-seeds", "entangle-seeds", "gue-shift-ground", "qac-instance-n"])
+    def test_numpy_inputs_write_the_python_values_bytes(self, tmp_path, numpy_call, python_call):
+        write_campaign_result(numpy_call(), tmp_path / "numpy")
+        write_campaign_result(python_call(), tmp_path / "python")
+        names = sorted(path.name for path in (tmp_path / "python").iterdir())
+        assert sorted(path.name for path in (tmp_path / "numpy").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "numpy" / name).read_bytes()
+                    == (tmp_path / "python" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("runner", [partial(run_gue_ensemble, 2), run_entanglement_compare],
+                             ids=["gue", "entangle"])
+    def test_horizon_mult_named_before_empty_seeds(self, runner):
+        with pytest.raises(ValueError, match="horizon_mult"):
+            runner(seeds=[], horizon_mult=0.0)
 
 
 class TestWriteCampaignResult:

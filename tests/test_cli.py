@@ -210,6 +210,15 @@ class TestVerify:
             rc = main(["verify", "--campaign", str(path), "--out", str(Path(tmp) / "r")])
         assert rc in (0, 2), campaign
 
+    def test_negative_campaign_seed_exits_2_naming_it(self, tmp_path, capsys):
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps({"kind": "gue-ensemble",
+                                             "parameters": {"dim": 2, "seeds": [-1]}}))
+        rc = main(["verify", "--campaign", str(campaign_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "-1" in err
+
     def test_verbose_prints_member_lines(self, tmp_path, capsys):
         rc = main(["verify", "-v", "--out", str(tmp_path), *FAST])
         assert rc == 0
@@ -504,6 +513,12 @@ class TestDecay:
         member = json.loads((tmp_path / "e" / "report-0000.json").read_text())
         assert decay.pop("provenance") != member.pop("provenance")
         assert decay == member
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["decay", "--dim", "4", "--seed", "-1", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "-1" in err
 
     def test_needs_system_choice(self, tmp_path, capsys):
         rc = main(["decay", "--out", str(tmp_path)])

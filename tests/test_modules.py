@@ -86,3 +86,31 @@ def test_cli_reaches_the_campaign_runners_only_through_run_campaign():
                 if isinstance(node, ast.ImportFrom) for alias in node.names
                 if alias.name in runners]
     assert imported + attribute_reads(path, runners) == []
+
+
+def identity_sites(path: Path) -> list:
+    """'module:definition what' for each use of hashlib and each "config_hash"
+    key that a dict literal or an item assignment writes in the file, by the
+    top-level definition that holds it."""
+    def what(node):
+        if getattr(node, "id", None) == "hashlib" or getattr(node, "module", None) == "hashlib":
+            return "hash"
+        keys = (node.keys if isinstance(node, ast.Dict) else [node.slice]
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) else [])
+        if any(isinstance(key, ast.Constant) and key.value == "config_hash" for key in keys):
+            return "config_hash key"
+        return None
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(f"{path.name}:{getattr(top, 'name', '<module>')} {what(sub)}"
+                  for top in tree.body for sub in ast.walk(top) if what(sub))
+
+
+def test_only_the_identity_helper_hashes_a_campaign_or_stamps_its_provenance():
+    # one function digests kind, parameters and integrator and writes the hash
+    # into each member's provenance; _collect copies it into the summary
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    assert [hit for path in modules for hit in identity_sites(path)] == [
+        "campaigns.py:_collect config_hash key", "campaigns.py:_identity config_hash key",
+        "campaigns.py:_identity hash"]

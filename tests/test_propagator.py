@@ -347,7 +347,7 @@ def grid_closed_form(H, phi0, times, cfg):
     devs = np.abs(norms - 1.0)
     bad = np.flatnonzero(~(devs <= cfg.norm_tolerance))
     if bad.size:
-        raise propagate._norm_error(norms[bad[0]], times[bad[0]], cfg.norm_tolerance)
+        raise IntegrationError(f"norm drifted to {norms[bad[0]]:.12g}", time=times[bad[0]])
     return (w, V, c), np.conj(z @ c.conj()), V @ z[-1], float(devs.max())
 
 
