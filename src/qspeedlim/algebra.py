@@ -3,11 +3,14 @@
 States are unit vectors of complex amplitudes, observables are dense
 Hermitian matrices. Both are validated at construction and immutable
 afterwards, so every operation below is a pure function and safe to share
-across threads.
+across threads. Every JSON object the program reads becomes its object through
+from_json, so one field rule holds for campaigns, integrators, parameters,
+Ising instances and schedules.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import numbers
 from dataclasses import dataclass
@@ -27,12 +30,32 @@ def is_number(x, kind=numbers.Real) -> bool:
 
 
 def read_json(path):
-    """The parsed JSON file; malformed JSON is a ValueError at path:line:col."""
+    """The parsed JSON file; malformed JSON is a ValueError at path:line:col,
+    and nesting past the interpreter's recursion limit a ValueError at path."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def from_json(fn, data, what: str, **fixed):
+    """fn(**data, **fixed) for the JSON object data. A non-object, a field fn
+    does not take or fixed sets, and a required field data lacks are each a
+    ValueError naming what, the plural of its fields ("schedule fields")."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be given as a JSON object, got {data!r}")
+    params = inspect.signature(fn).parameters
+    unknown = sorted(set(data) - (params.keys() - fixed.keys()))
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
+    missing = [name for name, p in params.items()
+               if p.default is p.empty and name not in data and name not in fixed]
+    if missing:
+        raise ValueError(f"missing required {what}: {missing}")
+    return fn(**data, **fixed)
 
 
 def _check_same_dim(da: int, db: int) -> None:

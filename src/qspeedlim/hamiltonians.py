@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .algebra import DIM_CAP, HermitianOperator, is_number, read_json
+from .algebra import DIM_CAP, HermitianOperator, from_json, is_number, read_json
 from .schedules import Schedule, schedule_integral
 
 
@@ -87,10 +87,7 @@ class IsingInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IsingInstance":
-        if not isinstance(data, dict):
-            raise ValueError(f"Ising instance must be an object with an integer 'n', got {data!r}")
-        return cls(n=data.get("n"), couplings=data.get("couplings", []),
-                   fields=data.get("fields", []))
+        return from_json(cls, data, "Ising instance fields")
 
 
 def _rows(name: str, rows, indices: int) -> tuple:

@@ -119,7 +119,7 @@ _CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the traj
 class IntegrationError(RuntimeError):
     """A run whose numbers cannot be trusted; `time` holds the offending instant t."""
 
-    def __init__(self, message, time=None):
+    def __init__(self, message, time):
         super().__init__(message)
         self.time = time
 

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import is_number, read_json
+from .algebra import from_json, is_number, read_json
 
 BOUNDARY_TOL = 1e-12
 
@@ -74,20 +74,7 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        if not isinstance(data, dict):
-            raise ValueError(f"schedule must be an object with a 'kind', got {data!r}")
-        kind = data.get("kind")
-        if kind == "linear":
-            return cls.linear()
-        if kind == "poly":
-            if "power" not in data:
-                raise ValueError("poly schedule needs a 'power' field")
-            return cls.polynomial(data["power"])
-        if kind == "tabulated":
-            if "knots" not in data:
-                raise ValueError("tabulated schedule needs a 'knots' field")
-            return cls.tabulated(data["knots"])
-        raise ValueError(f"unknown schedule kind {kind!r}")
+        return from_json(cls, data, "schedule fields")
 
 
 def _checked_knots(knots) -> np.ndarray:

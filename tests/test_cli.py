@@ -271,6 +271,49 @@ def test_flags_and_campaign_file_write_the_same_bytes(tmp_path, monkeypatch, arg
         assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
+GOOD_INSTANCE = {"n": 1, "fields": [[0, -0.5]]}
+
+
+@pytest.mark.parametrize("files, argv, named", [
+    ({"c.json": {"kind": "gue-ensemble", "parameters": {"seeds": [0]}}},
+     ["verify", "--campaign", "c.json"], "dim"),
+    ({"i.json": {"n": 2, "coupling": [[0, 1, -1.0]]}}, ["qac", "--instance", "i.json"],
+     "coupling"),
+    ({"i.json": GOOD_INSTANCE, "s.json": {"kind": "linear", "power": 3}},
+     ["qac", "--instance", "i.json", "--schedule", "s.json"], "power"),
+    ({"c.json": "[" * 100_000}, ["verify", "--campaign", "c.json"], "c.json"),
+    ({"c.json": {"kind": "gue-ensemble", "parameters": None}},
+     ["verify", "--campaign", "c.json"], "parameters"),
+    ({"c.json": {"kind": "gue-ensemble", "integrator": None}},
+     ["verify", "--campaign", "c.json"], "integrator"),
+    ({"c.json": {"kind": "qac-ising", "parameters": {"T_values": [1.0]}}},
+     ["verify", "--campaign", "c.json"], "instance"),
+    ({"c.json": {"kind": "analytic-two-level", "bogus": 1}},
+     ["verify", "--campaign", "c.json"], "bogus"),
+    ({"c.json": {"kind": "analytic-two-level", "integrator": {"bogus": 1}}},
+     ["verify", "--campaign", "c.json"], "bogus"),
+    ({"c.json": {"kind": "analytic-two-level", "parameters": {"bogus": 1}}},
+     ["verify", "--campaign", "c.json"], "bogus"),
+    ({"c.json": {"kind": "qac-ising", "parameters": {"instance": {**GOOD_INSTANCE, "bogus": 1}}}},
+     ["verify", "--campaign", "c.json"], "bogus"),
+    ({"c.json": {"kind": "qac-ising", "parameters": {
+        "instance": GOOD_INSTANCE, "sched": {"kind": "linear", "bogus": 1}}}},
+     ["verify", "--campaign", "c.json"], "bogus"),
+], ids=["gue-without-dim", "instance-typo", "linear-with-power", "deep-file",
+        "null-parameters", "null-integrator", "qac-without-instance", "unknown-campaign-field",
+        "unknown-integrator-field", "unknown-parameter", "unknown-instance-field",
+        "unknown-schedule-field"])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, named):
+    # the exit-code contract: a mistyped input is never a traceback or a violation
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    rc = main([*argv, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+
+
 class TestEnsemble:
     def test_small_ensemble(self, tmp_path):
         rc = main(["ensemble", "--dim", "2", "--seeds", "0..3",

@@ -114,3 +114,43 @@ def test_only_the_identity_helper_hashes_a_campaign_or_stamps_its_provenance():
     assert [hit for path in modules for hit in identity_sites(path)] == [
         "campaigns.py:_collect config_hash key", "campaigns.py:_identity config_hash key",
         "campaigns.py:_identity hash"]
+
+
+def inspect_sites(path: Path) -> list:
+    """'module:definition' for each reference to the inspect module in the
+    file, by the top-level definition that holds it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{getattr(top, 'name', '<module>')}"
+            for top in tree.body for sub in ast.walk(top)
+            if "inspect" in (getattr(sub, "id", None), getattr(sub, "module", None))
+            or isinstance(sub, ast.alias) and sub.name == "inspect"]
+
+
+def from_dict_shapes(path: Path) -> list:
+    """'module:Class shape' for each from_dict method in the file: 'from_json'
+    for a classmethod whose whole body is `return from_json(cls, ...)`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    shapes = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "from_dict"):
+                continue
+            call = getattr(fn.body[0], "value", None) if len(fn.body) == 1 else None
+            single = (isinstance(fn.body[0], ast.Return) and isinstance(call, ast.Call)
+                      and [getattr(d, "id", None) for d in fn.decorator_list] == ["classmethod"]
+                      and getattr(call.func, "id", None) == "from_json"
+                      and [getattr(a, "id", None) for a in call.args[:1]] == ["cls"])
+            shapes.append(f"{path.name}:{cls.name} {'from_json' if single else 'hand-written'}")
+    return shapes
+
+
+def test_every_json_object_is_read_through_from_json():
+    # one field rule: only from_json asks a reader which fields it takes, and
+    # every from_dict hands its object to it whole
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    assert [hit for path in modules for hit in inspect_sites(path)] == [
+        "algebra.py:<module>", "algebra.py:from_json"]
+    assert [hit for path in modules for hit in from_dict_shapes(path)] == [
+        "campaigns.py:Campaign from_json", "hamiltonians.py:IsingInstance from_json",
+        "schedules.py:Schedule from_json"]
