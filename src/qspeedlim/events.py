@@ -33,15 +33,21 @@ NEAR_MISS_CEILING = 1e-3
 
 ROUNDOFF = 1e-14  # on a functional value: overlaps of unit vectors err by a few ulp of 1
 
+# a guard, not the stopping rule: a bracket of at most two grid steps meets the
+# goal, 1e-9 of an n-step horizon, in ceil(log_phi(2e9 / n)) <= 45 golden steps
+_GUARD_STEPS = 60
+
 _log = logging.getLogger(__name__)
 _log.addHandler(logging.NullHandler())  # silent unless the application configures logging
 
 
 @dataclass(frozen=True)
 class EventQuery:
+    """A grid minimum at or below coarse_threshold is refined to the width
+    goal; the first in time order that reaches tolerance triggers."""
+
     kind: str
     tolerance: float = 1e-6
-    refine_iterations: int = 60
     coarse_threshold: float = 0.05
 
     def __post_init__(self):
@@ -49,8 +55,6 @@ class EventQuery:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.refine_iterations < 1:
-            raise ValueError("refine_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -63,18 +67,16 @@ class EventResult:
     note: str | None = None
 
 
-def _golden_min(f, a, b, max_iter, width_goal, noise=0.0):
-    """Golden-section minimization on [a, b]; returns (x, f(x), width,
-    per-iteration widths). Widths shrink by the golden ratio each step. Once
-    the two interior values differ by less than `noise`, round-off may pick
-    the side, so the width returned is that step's bracket, the last one
-    known to hold the minimum."""
+def _golden_min(f, a, b, width_goal, noise=0.0):
+    """Golden-section minimization on [a, b] to a bracket of width_goal;
+    returns (x, f(x), width). Once the two interior values differ by less
+    than `noise`, round-off may pick the side, so the width returned is that
+    step's bracket, the last one known to hold the minimum."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    widths = []
     held = None
-    for _ in range(max_iter):
+    for _ in range(_GUARD_STEPS):
         if b - a <= width_goal:
             break
         if held is None and abs(fc - fd) < noise:
@@ -87,11 +89,8 @@ def _golden_min(f, a, b, max_iter, width_goal, noise=0.0):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-        widths.append(b - a)
     width = b - a if held is None else held
-    if fc < fd:
-        return c, fc, width, widths
-    return d, fd, width, widths
+    return (c, fc, width) if fc < fd else (d, fd, width)
 
 
 def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, functional):
@@ -111,7 +110,7 @@ def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, function
     right_ok = np.append(here[:-1] <= here[1:], True)
     for k in np.flatnonzero((here <= threshold) & (here <= samples[:-1]) & right_ok) + 1:
         a, b = (k - 1) * traj.ds, min(k + 1, n) * traj.ds
-        s_min, f_min, width, _ = _golden_min(f_at, a, b, q.refine_iterations, width_goal, ROUNDOFF)
+        s_min, f_min, width = _golden_min(f_at, a, b, width_goal, ROUNDOFF)
         best = min(best, f_min)
         if f_min <= q.tolerance:
             return EventResult(triggered=True, time=float(s_min * traj.hbar),

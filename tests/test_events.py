@@ -13,6 +13,7 @@ from qspeedlim.bounds import char_times_ti, state_moments
 from qspeedlim.events import (
     EventQuery,
     EventResult,
+    _INVPHI,
     _golden_min,
     first_antipodal,
     first_orthogonal,
@@ -174,8 +175,6 @@ class TestQueryAndRefinement:
             EventQuery(kind="sideways")
         with pytest.raises(ValueError):
             EventQuery(kind="orthogonal", tolerance=0.0)
-        with pytest.raises(ValueError):
-            EventQuery(kind="orthogonal", refine_iterations=0)
 
     def test_kind_mismatch_rejected(self):
         H = gap_hamiltonian()
@@ -183,27 +182,35 @@ class TestQueryAndRefinement:
         with pytest.raises(ValueError, match="kind"):
             first_orthogonal(traj, EventQuery(kind="antipodal"))
 
-    def test_golden_section_widths_strictly_decrease(self):
-        f = lambda x: (x - 1.3) ** 2
-        xm, fm, width, widths = _golden_min(f, 0.0, 2.0, max_iter=40, width_goal=1e-12)
-        assert np.all(np.diff(widths) < 0)
-        assert xm == pytest.approx(1.3, abs=1e-5)
+    def test_golden_section_reaches_width_goal(self):
+        calls = []
+        f = lambda x: calls.append(x) or (x - 1.3) ** 2
+        xm, fm, width = _golden_min(f, 0.0, 2.0, width_goal=1e-6)
+        assert width <= 1e-6
+        assert abs(xm - 1.3) <= width
+        # two interior points, then one evaluation per golden step
+        assert width == pytest.approx(2.0 * _INVPHI ** (len(calls) - 2))
+        assert xm in calls and fm == (xm - 1.3) ** 2
 
     def test_golden_section_width_stops_at_round_off(self):
         # a flat quadratic whose values differ by less than the noise near
-        # the minimum: the search goes on, the width stays where it stopped
-        f = lambda x: 1e-3 * (x - 1.3) ** 2
-        xm, _, width, widths = _golden_min(f, 0.0, 2.0, max_iter=60, width_goal=1e-12,
-                                           noise=1e-14)
-        assert width > widths[-1]
+        # the minimum: the search goes on to the goal, the width stays where
+        # round-off took over
+        calls = []
+        f = lambda x: calls.append(x) or 1e-3 * (x - 1.3) ** 2
+        xm, _, width = _golden_min(f, 0.0, 2.0, width_goal=1e-12, noise=1e-14)
+        assert width > 1e-9
         assert abs(xm - 1.3) <= width
-        assert width in [2.0] + widths
+        assert max(calls[-2:]) - min(calls[-2:]) < 1e-11 < width
 
     def test_golden_section_respects_iteration_cap(self):
-        f = lambda x: abs(x - 0.5)
-        _, _, width, widths = _golden_min(f, 0.0, 1.0, max_iter=5, width_goal=0.0)
-        assert len(widths) == 5
-        assert width == pytest.approx(widths[-1])
+        # an unreachable goal stops at the guard: two interior points, then
+        # one evaluation per step
+        calls = []
+        f = lambda x: calls.append(x) or abs(x - 0.5)
+        _, _, width = _golden_min(f, 0.0, 1.0, width_goal=0.0)
+        assert len(calls) == 2 + 60
+        assert width == pytest.approx(_INVPHI ** 60)
 
     def test_closed_form_refines_without_states(self):
         # a fixed H under midpoint-exponential keeps its spectrum, not states
