@@ -418,16 +418,16 @@ def _norm_dev(norms, times, tolerance) -> float:
     return float(devs.max())
 
 
-def _closed_form(H, phi0, s, cfg):
+def _closed_form(H, phi0, s, times, tolerance):
     """Exact propagation under a fixed H = V diag(w) V^dagger, c = V^dagger phi0,
-    on the grid s; a failure reports its time as an s. Grid point s_k,
+    on the grid s; a failure reports its time from the grid `times`. Grid point s_k,
     k = aK + b, splits as s_aK + s_b, so the eigenbasis amplitudes
     z_k = exp(-i w s_k) * c are coarse[a] * fine[b], and each grid-wide sum
     over j is one product of the two tables; z itself, n x dim, is never
     formed. Returns the spectrum (w, V, c), the overlaps conj(z_k . conj(c)),
     the final state V z_N and the largest | |z_k| - 1 |."""
     w, V = np.linalg.eigh(H)
-    _check_phase(float(s[-1]) * float(np.max(np.abs(w))), s[-1])
+    _check_phase(float(s[-1]) * float(np.max(np.abs(w))), times[-1])
     c = V.conj().T @ phi0
     n = len(s)
     K = math.isqrt(n - 1) + 1
@@ -436,7 +436,7 @@ def _closed_form(H, phi0, s, cfg):
     fine = np.exp(np.outer(s[:K], rate)) * c
     overlaps = np.conj(coarse @ (fine * c.conj()).T).ravel()[:n]
     norms = np.sqrt((np.abs(coarse) ** 2 @ (np.abs(fine) ** 2).T).ravel()[:n])
-    norm_max_dev = _norm_dev(norms, s, cfg.norm_tolerance)
+    norm_max_dev = _norm_dev(norms, times, tolerance)
     for x in (w, V, c):
         x.setflags(write=False)
     a, b = divmod(n - 1, K)
@@ -504,11 +504,8 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
 
     spectrum = states = None
     if cfg.method == "midpoint-exponential" and not interp:
-        try:
-            spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, s, cfg)
-        except IntegrationError as exc:  # its time is an s
-            exc.time *= hbar
-            raise
+        spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, s, s * hbar,
+                                                             cfg.norm_tolerance)
     else:
         kernel = _TaylorKernel(hs)
         if cfg.method == "midpoint-exponential":

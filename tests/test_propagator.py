@@ -368,7 +368,8 @@ class TestPhaseTablesAgainstGrid:
         horizon = 4.0 * char_times_ti(state_moments(H, StateVector(phi0)), 1.0).t_orth
         times = np.arange(steps + 1) * (horizon / steps)
         cfg = IntegratorConfig(steps=steps)
-        spectrum, overlaps, final, dev = propagate._closed_form(H.entries, phi0, times, cfg)
+        spectrum, overlaps, final, dev = propagate._closed_form(H.entries, phi0, times, times,
+                                                                cfg.norm_tolerance)
         _, want_overlaps, want_final, want_dev = grid_closed_form(H.entries, phi0, times, cfg)
         assert overlaps.shape == want_overlaps.shape == times.shape
         assert np.max(np.abs(overlaps - want_overlaps)) <= 1e-12
@@ -383,8 +384,7 @@ class TestPhaseTablesAgainstGrid:
         times = np.arange(steps + 1) * (3.0 / steps)
         phi0 = random_state(32, [32, steps]).amplitudes
         with pytest.raises(IntegrationError) as err:
-            propagate._closed_form(H.entries, phi0, times,
-                                   IntegratorConfig(steps=steps, norm_tolerance=1e-300))
+            propagate._closed_form(H.entries, phi0, times, times, 1e-300)
         assert err.value.time in times
 
     def test_takes_no_grid_sized_array(self):
