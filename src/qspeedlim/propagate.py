@@ -233,8 +233,12 @@ class Trajectory:
         return math.sqrt(2.0 * self.norm_max_dev) + FLOAT_FLOOR
 
     def numerical_slack(self, label: str) -> float:
-        """Check allowance for one policy: 10*dt*(max integrand) + hbar*float_floor."""
-        return 10.0 * self.dt * self.integrand_max[label] + self.hbar * self.float_floor
+        """Check allowance for one policy: hbar*float_floor, plus 10*dt*(max
+        integrand) for a trajectory that walked a step grid. A closed form's
+        integrand is constant, so its trapezoid sum is exact, and its
+        distances are exact to round-off."""
+        grid = 0.0 if self.spectrum is not None else 10.0 * self.dt * self.integrand_max[label]
+        return grid + self.hbar * self.float_floor
 
     @functools.cached_property
     def _kernel(self) -> _TaylorKernel:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from qspeedlim.bounds import (
     survival_lower_bound_ti,
     write_report_json,
 )
+from qspeedlim.campaigns import run_time_independent
 from qspeedlim.events import first_antipodal, first_orthogonal
 from qspeedlim.hamiltonians import (
     InterpolatedHamiltonian,
@@ -327,6 +329,27 @@ class TestCheckInequalitiesTimeIndependent:
             assert event_margins <= {m.name for m in rep.margins}
             assert rep.characteristic == char_times_qac(self.moments, g_integral, 1.0)
             assert rep.all_satisfied
+
+    @pytest.mark.parametrize("scale, flagged", [(1.0, 0), (1.0 + 1e-4, 152)])
+    def test_closed_form_slack_flags_scaled_distances(self, scale, flagged):
+        # the orthogonal and antipodal analytic cases and the default GUE
+        # suites, dim 2 x 100 and dim 8 x 50: a closed form's slack is the
+        # float floor, so every distance scaled by 1 + 1e-4 breaks the master
+        # inequality in every member, and the unscaled run breaks it in none
+        members = [(HermitianOperator(np.diag(w).astype(complex)), PLUS, horizon)
+                   for w, horizon in (([0.0, 1.0], 4.0), ([-0.5, 0.5], 8.0))]
+        members += [(random_hermitian(dim, seed), random_state(dim, [seed, 17]), None)
+                    for dim, count in ((2, 100), (8, 50)) for seed in range(count)]
+        hits = 0
+        for H, psi0, horizon in members:
+            report, traj = run_time_independent(H, psi0, IntegratorConfig(), {}, horizon=horizon,
+                                                events=False)
+            assert traj.spectrum is not None
+            scaled = dataclasses.replace(traj, distances={
+                label: scale * d for label, d in traj.distances.items()})
+            margins = check_inequalities(scaled, report.moments).margins
+            hits += any(not m.satisfied for m in margins if m.name.startswith("general:"))
+        assert hits == flagged
 
 
 class TestCheckInequalitiesAnnealing:
