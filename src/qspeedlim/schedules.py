@@ -78,8 +78,9 @@ class Schedule:
 
 
 def _checked_knots(knots) -> np.ndarray:
-    try:
-        table = np.asarray(knots, dtype=float)
+    try:  # every entry a number: np.asarray alone reads "1" and true as floats
+        numeric = all(is_number(x) for row in knots for x in row)
+        table = np.asarray(knots, dtype=float) if numeric else np.empty(0)
     except (TypeError, ValueError):
         table = np.empty(0)
     if table.ndim != 2 or table.shape[1] != 3 or len(table) < 2 or not np.isfinite(table).all():

@@ -299,10 +299,14 @@ GOOD_INSTANCE = {"n": 1, "fields": [[0, -0.5]]}
     ({"c.json": {"kind": "qac-ising", "parameters": {
         "instance": GOOD_INSTANCE, "sched": {"kind": "linear", "bogus": 1}}}},
      ["verify", "--campaign", "c.json"], "bogus"),
+    ({"i.json": GOOD_INSTANCE, "s.json": {"kind": "tabulated", "knots": [[0, "1", 0], [1, 0, 1]]}},
+     ["qac", "--instance", "i.json", "--schedule", "s.json"], "knots"),
+    ({"i.json": GOOD_INSTANCE, "s.json": {"kind": "tabulated", "knots": [[0, True, 0], [1, 0, 1]]}},
+     ["qac", "--instance", "i.json", "--schedule", "s.json"], "knots"),
 ], ids=["gue-without-dim", "instance-typo", "linear-with-power", "deep-file",
         "null-parameters", "null-integrator", "qac-without-instance", "unknown-campaign-field",
         "unknown-integrator-field", "unknown-parameter", "unknown-instance-field",
-        "unknown-schedule-field"])
+        "unknown-schedule-field", "string-knot", "bool-knot"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, named):
     # the exit-code contract: a mistyped input is never a traceback or a violation
     for name, content in files.items():
