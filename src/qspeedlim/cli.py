@@ -24,7 +24,8 @@ from .bounds import exp_decay_diagnostic, survival_lower_bound_ti, write_report_
 from .campaigns import (Campaign, load_campaign, run_campaign, run_time_independent,
                         write_campaign_result)
 from .hamiltonians import random_hermitian
-from .propagate import IntegrationError, IntegratorConfig, write_csv_columns, write_trajectory_csv
+from .propagate import (METHODS, IntegrationError, IntegratorConfig, write_csv_columns,
+                        write_trajectory_csv)
 
 OUT_ENV_VAR = "QSPEEDLIM_OUT"
 
@@ -32,16 +33,22 @@ OUT_ENV_VAR = "QSPEEDLIM_OUT"
 def parse_seeds(text: str) -> list:
     """Seed sets come as 'a..b' (half-open range) or a comma list."""
     text = text.strip()
-    if ".." in text:
-        start, _, stop = text.partition("..")
-        return list(range(int(start), int(stop)))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            start, _, stop = text.partition("..")
+            return list(range(int(start), int(stop)))
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--seeds takes 'a..b' or a comma list of integers, got {text!r}") from None
 
 
 def parse_times(text: str) -> list:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError("expected a comma-separated list of times")
+        raise ValueError(f"--T takes a comma-separated list of times, got {text!r}")
     return values
 
 
@@ -50,7 +57,10 @@ def parse_schedule(text: str) -> dict:
     if text == "linear":
         return {"kind": "linear"}
     if text.startswith("poly:"):
-        return {"kind": "poly", "power": float(text.partition(":")[2])}
+        try:
+            return {"kind": "poly", "power": float(text.partition(":")[2])}
+        except ValueError:
+            raise ValueError(f"--schedule poly:<power> takes a number, got {text!r}") from None
     return read_json(text)
 
 
@@ -203,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--steps", type=int, default=None,
                         help="integrator step count (exclusive with --dt)")
     common.add_argument("--method", default="midpoint-exponential",
-                        choices=["midpoint-exponential", "rk4"])
+                        choices=METHODS)
     common.add_argument("-v", "--verbose", action="store_true",
                         help="print one line per campaign member")
 

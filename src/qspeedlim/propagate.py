@@ -113,6 +113,10 @@ _TABLE_DIM = 16
 # dim <= _TABLE_DIM, its table of at most 256 * 16**2 * 16 B = 1 MiB
 _BLOCK = 256
 
+# numpy holds at most sys.maxsize bytes in one array, so a grid of steps + 1
+# float64 times must fit there (np.arange(sys.maxsize) returns an empty array)
+_MAX_STEPS = sys.maxsize // 8
+
 _CSV_BLOCK = 4096  # rows per write; whole-column string lists outweigh the trajectory
 
 
@@ -144,14 +148,17 @@ class IntegratorConfig:
         if not self.hbar >= sys.float_info.min:  # below it, s = t/hbar has lost digits
             raise ValueError(f"hbar must be a normal float (>= {sys.float_info.min:.2g}), "
                              f"got {self.hbar!r}")
-        if not (self.steps is None or is_number(self.steps, numbers.Integral) and self.steps >= 1):
-            raise ValueError(f"steps must be an integer of at least 1, got {self.steps!r}")
+        if not (self.steps is None or is_number(self.steps, numbers.Integral)
+                and 1 <= self.steps < _MAX_STEPS):
+            raise ValueError(f"steps must be an integer from 1 to {_MAX_STEPS - 1}, "
+                             f"got {self.steps!r}")
 
     def resolve_steps(self, horizon: float) -> int:
         if self.dt is None:
             return self.steps if self.steps is not None else DEFAULT_STEPS
-        if not horizon / self.dt < math.inf:
-            raise ValueError(f"horizon {horizon:g} / dt {self.dt:g} is not a finite step count")
+        if not horizon / self.dt < _MAX_STEPS:  # inf and NaN fail this test too
+            raise ValueError(f"horizon {horizon:g} / dt {self.dt:g} is not a step count a grid "
+                             f"array holds (at most {_MAX_STEPS - 1})")
         return max(1, math.ceil(horizon / self.dt))
 
 

@@ -303,10 +303,19 @@ GOOD_INSTANCE = {"n": 1, "fields": [[0, -0.5]]}
      ["qac", "--instance", "i.json", "--schedule", "s.json"], "knots"),
     ({"i.json": GOOD_INSTANCE, "s.json": {"kind": "tabulated", "knots": [[0, True, 0], [1, 0, 1]]}},
      ["qac", "--instance", "i.json", "--schedule", "s.json"], "knots"),
+    ({}, ["ensemble", "--dim", "2", "--seeds", "a..b"], "--seeds"),
+    ({"i.json": GOOD_INSTANCE}, ["qac", "--instance", "i.json", "--T", "x"], "--T"),
+    ({"i.json": GOOD_INSTANCE}, ["qac", "--instance", "i.json", "--schedule", "poly:x"],
+     "--schedule"),
+    ({}, ["verify", "--dt", "1e-300"], "dt"),
+    ({}, ["verify", "--steps", str(sys.maxsize - 1)], "steps"),
+    ({}, ["verify", "--steps", "99999999999999999999"], "steps"),
 ], ids=["gue-without-dim", "instance-typo", "linear-with-power", "deep-file",
         "null-parameters", "null-integrator", "qac-without-instance", "unknown-campaign-field",
         "unknown-integrator-field", "unknown-parameter", "unknown-instance-field",
-        "unknown-schedule-field", "string-knot", "bool-knot"])
+        "unknown-schedule-field", "string-knot", "bool-knot", "seeds-not-integers",
+        "T-not-numbers", "poly-power-not-a-number", "dt-past-grid-size", "steps-past-grid-size",
+        "steps-past-maxsize"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, named):
     # the exit-code contract: a mistyped input is never a traceback or a violation
     for name, content in files.items():
