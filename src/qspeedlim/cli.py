@@ -39,7 +39,8 @@ def parse_seeds(text: str) -> list:
             return list(range(int(start), int(stop)))
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"--seeds takes 'a..b' or a comma list of integers, got {text!r}") from None
+        raise ValueError(f"--seeds takes 'a..b' or a comma list of integers, "
+                         f"got {text!r}") from None
 
 
 def parse_times(text: str) -> list:

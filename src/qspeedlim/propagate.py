@@ -431,11 +431,11 @@ def _norm_dev(norms, times, tolerance) -> float:
 
 def _closed_form(H, phi0, s, times, tolerance):
     """Exact propagation under a fixed H = V diag(w) V^dagger, c = V^dagger phi0,
-    on the grid s; a failure reports its time from the grid `times`. Grid point s_k,
-    k = aK + b, splits as s_aK + s_b, so the eigenbasis amplitudes
-    z_k = exp(-i w s_k) * c are coarse[a] * fine[b], and each grid-wide sum
-    over j is one product of the two tables; z itself, n x dim, is never
-    formed. Returns the spectrum (w, V, c), the overlaps conj(z_k . conj(c)),
+    on the grid s; a failure reports its time from the matching grid `times`.
+    Grid point s_k, k = aK + b, splits as s_aK + s_b, so the eigenbasis
+    amplitudes z_k = exp(-i w s_k) * c are coarse[a] * fine[b], and each
+    grid-wide sum over j is one product of the two tables; z itself,
+    n x dim, is never formed. Returns the spectrum (w, V, c), the overlaps conj(z_k . conj(c)),
     the final state V z_N and the largest | |z_k| - 1 |."""
     w, V = np.linalg.eigh(H)
     _check_phase(float(s[-1]) * float(np.max(np.abs(w))), times[-1])
