@@ -22,6 +22,8 @@ DIM_CAP = 4096
 
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
+# rows per block of HermitianOperator's checks: 4 MiB per temporary at DIM_CAP
+_CHECK_ROWS = 64
 
 
 def is_number(x, kind=numbers.Real) -> bool:
@@ -121,17 +123,20 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=np.complex128)
+        mat = np.array(self.entries, dtype=np.complex128)  # the one copy, kept
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
         if mat.shape[0] > DIM_CAP:
             raise ValueError(f"dimension {mat.shape[0]} exceeds cap {DIM_CAP}")
-        if not np.isfinite(mat).all():
+        # each check a block of rows at a time, so no temporary is matrix-sized;
+        # a max over the blocks is the max over the matrix
+        blocks = [slice(lo, lo + _CHECK_ROWS) for lo in range(0, len(mat), _CHECK_ROWS)]
+        if not all(np.isfinite(mat[rows]).all() for rows in blocks):
             raise ValueError("operator entries must be finite")
-        defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+        defect = max((float(np.max(np.abs(mat[rows] - mat[:, rows].conj().T))) for rows in blocks),
+                     default=0.0)
         if defect > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {defect:g}")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 

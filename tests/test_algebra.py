@@ -85,6 +85,25 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match="finite"):
             HermitianOperator(np.array([[0.0, bad], [bad, 1.0]]))
 
+    def test_messages_past_one_block_of_rows(self):
+        # at dimension 150 the checks take several blocks of rows: the defect
+        # is still the whole matrix's max, and a non-finite entry in the last
+        # block is reported before a defect in the first
+        def message(mat):
+            with pytest.raises(ValueError) as err:
+                HermitianOperator(mat)
+            return str(err.value)
+
+        rng = np.random.default_rng(5)
+        mat = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))
+        defect = np.max(np.abs(mat - mat.conj().T))
+        assert message(mat) == f"matrix is not Hermitian: max |A - A^dag| = {defect:g}"
+        mat = np.zeros((150, 150))
+        mat[140, 3] = 0.25
+        assert message(mat) == "matrix is not Hermitian: max |A - A^dag| = 0.25"
+        mat[0, 1], mat[149, 149] = 1.0, np.nan
+        assert message(mat) == "operator entries must be finite"
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             HermitianOperator(np.zeros((2, 3)))
