@@ -53,7 +53,7 @@ print("== per-step norm drift over 2000 steps of the interpolation ==")
 for method, tol in (("midpoint-exponential", None), ("rk4", None)):
     traj = evolve(ih, psi0, horizon=10.0,
                   cfg=IntegratorConfig(method=method, steps=2000))
-    norms = np.linalg.norm(traj.states, axis=1)
+    norms = np.linalg.norm(traj.grid_states(), axis=1)
     per_step = float(np.max(np.abs(np.diff(norms))))
     print(f"{method:<22} max per-step drift {per_step:.3e}, "
           f"max total deviation {traj.norm_max_dev:.3e}")

@@ -18,7 +18,9 @@ the s grid of the run at (t, hbar).
 
 Both integrals are trapezoid sums on the step grid; the reference state enters
 only through the scalar phase above. Under a fixed H every beta is constant,
-so the integrand is one norm per policy, broadcast over the grid.
+so the integrand is one norm per policy, broadcast over the grid; under H(t)
+its rows H(s_k) phi0 - beta_k phi0 are formed a block of _BLOCK grid rows at a
+time.
 
 A fixed H = V diag(w) V^dagger under midpoint-exponential is solved in closed
 form from one eigh: with c = V^dagger phi0, <psi(s)|phi0> = sum_j |c_j|^2
@@ -29,8 +31,10 @@ products of two phase tables of about K rows each. An interpolated H(t), and
 every rk4 run, walk the step grid. A Trajectory carries the H it ran under, so
 Trajectory.overlap_at(t) gives the overlap off the grid with no other input:
 the spectral sum at any time, or, inside the walked grid, one step from a
-grid state by a kernel built once per trajectory; every step loop keeps its
-(steps + 1) x d grid states for this.
+grid state by a kernel built once per trajectory. A step loop keeps only the
+first state of each block of _BLOCK steps and the last (uniform checkpointing;
+Griewank & Walther, ACM TOMS 26, 19 (2000)); a state between is replayed from
+its block's checkpoint by the walk that took it, so its bits are the run's.
 
 H becomes a step in one place, a _TaylorKernel built once per run. It stacks
 the operators as flat rows, float64 when every term is real (as
@@ -60,9 +64,10 @@ evolve runs with numpy's overflow and invalid warnings off: a check reports
 every inf or NaN, where it becomes certain. Each policy's phase factor and
 integrand read only the grid, beta and H(s) phi0, so they are checked before
 any step; then the step bounds, the largest phase and the states' norms.
-Every step loop checks norms and takes overlaps once per block of _BLOCK
-steps, each in one vectorized call over the block's grid states, and reports
-the first state past the tolerance with its own norm and time.
+Every step loop walks into one (_BLOCK + 1) x d buffer, checks norms and
+takes overlaps once per block of _BLOCK steps, each in one vectorized call
+over the block's grid states, and reports the first state past the tolerance
+with its own norm and time.
 
 CSV artifacts come from write_csv_columns: csv.writer's bytes, a block per write.
 A table of at least two blocks is formatted on two cores where os.fork exists,
@@ -81,6 +86,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -218,7 +224,12 @@ class Trajectory:
     hamiltonian: HermitianOperator | InterpolatedHamiltonian  # the H(t) the run evolved under
     initial_state: StateVector
     final_state: StateVector
-    states: np.ndarray | None  # grid states of a step loop; None for a closed form
+    # a step loop's checkpoints, grid states 0, _BLOCK, 2 _BLOCK, ... and the
+    # last, or its whole grid when they number steps + 1; None for a closed form
+    states: np.ndarray | None
+    # walk(grid, lo, hi): the step loop's steps lo..hi-1 from grid[0] = state
+    # lo into grid[1:], bit for bit as the run took them; None for a closed form
+    walk: Callable | None
     spectrum: tuple | None  # (w, V, c) of a fixed H solved in closed form
     method: str
     ds: float  # the step in s = t/hbar that the run walked
@@ -279,9 +290,52 @@ class Trajectory:
         if not s > sk:
             return self.overlaps[k]
         rows, _, degrees = self._kernel.steps(np.array([sk, s]), s - sk)
-        psi = self._kernel.apply(rows[0], self.states[k], degrees[0],
+        psi = self._kernel.apply(rows[0], self._grid_state(k), degrees[0],
                                  np.empty(self.states.shape[1], complex))
         return np.vdot(psi, self.initial_state.amplitudes)
+
+    def _full_grid(self) -> bool:
+        return len(self.states) == len(self.times)
+
+    @functools.cached_property
+    def _replayed(self) -> list:
+        """The block _grid_state last replayed: its first row, the last row
+        walked, and a buffer of its grid states from the first row on."""
+        return [-1, -1, np.empty((min(_BLOCK, len(self.times) - 1) + 1, self.states.shape[1]),
+                                 complex)]
+
+    def _grid_state(self, k: int) -> np.ndarray:
+        """Grid state k < steps of a step loop: a held row, or a replay of k's
+        block from its checkpoint up to row k + 1, so one replay serves both
+        states a refinement bracket [s_(k-1), s_(k+1)] reads. The replay is
+        cached, and walks on from its last row when a later row of the same
+        block is asked for; reading a held row leaves it in place."""
+        if self._full_grid():
+            return self.states[k]
+        if not k % _BLOCK:
+            return self.states[k // _BLOCK]
+        first = k - k % _BLOCK
+        replayed = self._replayed
+        lo, reached, grid = replayed
+        if lo != first:
+            grid[0], reached = self.states[first // _BLOCK], first
+        if reached < k:
+            self.walk(grid[reached - first:], reached, k + 1)
+            replayed[:2] = first, k + 1
+        return grid[k - first]
+
+    def grid_states(self) -> np.ndarray:
+        """The (steps + 1) x d grid states of a step loop: held, or replayed
+        block by block from the checkpoints, read-only."""
+        if self._full_grid():
+            return self.states
+        n = len(self.times) - 1
+        grid = np.empty((n + 1, self.states.shape[1]), complex)
+        for lo in range(0, n, _BLOCK):
+            grid[lo] = self.states[lo // _BLOCK]
+            self.walk(grid[lo:], lo, min(lo + _BLOCK, n))
+        grid.setflags(write=False)
+        return grid
 
 
 def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -487,15 +541,24 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     # normalize exactly once; this vector is the reference phi0 throughout
     phi0 = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
 
-    # integrand ||(H(s_k) - beta_k) phi0|| on the step grid
+    # each policy's beta and integrand ||(H(s_k) - beta_k) phi0|| on the step grid
     if interp:  # H(s_k) phi0, a sum over the terms of envelope(s_k) * (operator phi0)
-        rows = (np.outer(e, op.entries @ phi0) for e, op in hs.terms(s))
-        residual_base, grid = functools.reduce(operator.iadd, rows), slice(None)
+        parts = [(e, op.entries @ phi0) for e, op in hs.terms(s)]
+        policies = [(p.label, p.values(s, hs)) for p in betas]  # H(t) admits every policy
+        integrands = [np.empty_like(s) for _ in policies]
+        for lo in range(0, nsteps + 1, _BLOCK):  # a block of grid rows at a time
+            block = slice(lo, lo + _BLOCK)
+            residual_base = functools.reduce(operator.iadd,
+                                             (np.outer(e[block], v) for e, v in parts))
+            for integrand, (_, bvals) in zip(integrands, policies):
+                integrand[block] = np.linalg.norm(
+                    residual_base - bvals[block, None] * phi0[None, :], axis=1)
     else:  # H and every beta a fixed H admits are constant: one row serves the grid
-        residual_base, grid = (h.entries @ phi0)[None, :], slice(1)
-    # each policy's phase factor exp(-i int_0^s beta) and integrand, before any step
+        residual_base = (h.entries @ phi0)[None, :]
+        policies = ((p.label, p.values(s, hs)) for p in betas)  # in turn: a proportional one fails
+    # each policy's phase factor exp(-i int_0^s beta), then its integrand, checked before any step
     rotations, rhs_integrals, integrand_max = {}, {}, {}
-    for label, bvals in ((p.label, p.values(s, hs)) for p in betas):
+    for i, (label, bvals) in enumerate(policies):
         phase = cumulative_trapezoid(bvals, ds)
         rotations[label] = rotation = -1j * phase  # exp(-i phase), formed in place
         np.exp(rotation, out=rotation)
@@ -503,17 +566,16 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         if bad.size:
             raise IntegrationError(f"beta policy {label!r}: distance not finite (phase "
                                    f"{phase[bad[0]]:.6g})", time=s[bad[0]] * hbar)
-        integrand = np.broadcast_to(np.linalg.norm(
-            residual_base - bvals[grid, None] * phi0[None, :], axis=1), s.shape)
+        integrand = integrands[i] if interp else np.broadcast_to(np.linalg.norm(
+            residual_base - bvals[:1, None] * phi0[None, :], axis=1), s.shape)
         integrand_max[label] = float(np.max(integrand))
         if not math.isfinite(integrand_max[label]):
             k = np.flatnonzero(~np.isfinite(integrand))[0]
             raise IntegrationError(f"beta policy {label!r}: integrand ||(H - beta) phi0|| not "
                                    "finite", time=s[k] * hbar)
         rhs_integrals[label] = cumulative_trapezoid(integrand, ds * hbar)
-    del residual_base  # (steps + 1) x dim under H(t), freed before the walk allocates states
 
-    spectrum = states = None
+    spectrum = states = walk = None
     if cfg.method == "midpoint-exponential" and not interp:
         spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, s, s * hbar,
                                                              cfg.norm_tolerance)
@@ -528,43 +590,49 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
             _check_phase(float(np.sum(rho)), horizon)
 
             if h.dim <= _TABLE_DIM:
-                def walk(lo, hi):
-                    grid = list(states[lo:hi + 1])
-                    for U, psi, out in zip(kernel.propagators(rows[lo:hi], degrees[lo:hi]),
-                                           grid, grid[1:]):
+                def walk(grid, lo, hi):
+                    # from inside a block too, by the table of the whole block,
+                    # the batch the run took, so a replay takes the same bits
+                    first = lo - lo % _BLOCK
+                    table = kernel.propagators(rows[first:first + _BLOCK],
+                                               degrees[first:first + _BLOCK])
+                    for U, psi, out in zip(table[lo - first:hi - first], grid, grid[1:]):
                         np.dot(U, psi, out=out)
             else:
-                def walk(lo, hi):
-                    for k in range(lo, hi):
-                        kernel.apply(rows[k], states[k], degrees[k], states[k + 1])
+                def walk(grid, lo, hi):
+                    for k, psi, out in zip(range(lo, hi), grid, grid[1:]):
+                        kernel.apply(rows[k], psi, degrees[k], out)
         else:  # H at each step's stages s_k, s_k + ds/2 and s_k + ds
             stages = kernel.points(s[:-1, None] + np.array([0.0, ds / 2.0, ds]))
             deriv = lambda row, psi: -1j * kernel.product(row, psi)
 
-            def walk(lo, hi):
-                for k in range(lo, hi):
-                    psi = states[k]
-                    start, mid, end = stages[k]
+            def walk(grid, lo, hi):
+                for (start, mid, end), psi, out in zip(stages[lo:hi], grid, grid[1:]):
                     k1 = deriv(start, psi)
                     k2 = deriv(mid, psi + (ds / 2.0) * k1)
                     k3 = deriv(mid, psi + (ds / 2.0) * k2)
                     k4 = deriv(end, psi + ds * k3)
-                    states[k + 1] = psi + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    out[:] = psi + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         overlaps = np.empty(nsteps + 1, dtype=complex)
-        states = np.empty((nsteps + 1, h.dim), dtype=complex)
-        states[0] = phi0
+        # checkpoints: the first state of each block and the last state
+        states = np.empty((-(-nsteps // _BLOCK) + 1, h.dim), dtype=complex)
+        grid = np.empty((min(_BLOCK, nsteps) + 1, h.dim), dtype=complex)  # one block's states
+        grid[0] = phi0
         norm_max_dev = 0.0
         # a block of steps at a time; then its grid states, the first included
         # again, are checked and their overlaps taken in one call each
         for lo in range(0, nsteps, _BLOCK):
             hi = min(lo + _BLOCK, nsteps)
-            walk(lo, hi)
-            block = states[lo:hi + 1]
+            states[lo // _BLOCK] = grid[0]
+            walk(grid, lo, hi)
+            block = grid[:hi - lo + 1]
             re, im = block.real, block.imag  # np.linalg.norm's arithmetic, row by row
             norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
             norm_max_dev = max(norm_max_dev,
                                _norm_dev(norms, s[lo:hi + 1] * hbar, cfg.norm_tolerance))
             overlaps[lo:hi + 1] = np.vecdot(block, phi0)  # np.vdot's arithmetic, row by row
+            grid[0] = block[-1]
+        states[-1] = grid[0]
         states.setflags(write=False)
         psi = states[-1]
 
@@ -575,7 +643,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         distances={label: overlap_distance(rotations[label] * overlaps) for label in labels},
         rhs_integrals=rhs_integrals, integrand_max=integrand_max, hamiltonian=h,
         initial_state=StateVector(phi0), final_state=StateVector(psi / np.linalg.norm(psi)),
-        states=states, spectrum=spectrum, method=cfg.method, ds=ds, hbar=hbar,
+        states=states, walk=walk, spectrum=spectrum, method=cfg.method, ds=ds, hbar=hbar,
         norm_max_dev=norm_max_dev,
     )
 

@@ -181,7 +181,7 @@ def test_criterion_6_integrator_validation():
     psi0 = StateVector.uniform(2)
 
     traj = evolve(ih, psi0, horizon=10.0)
-    norms = np.linalg.norm(traj.states, axis=1)
+    norms = np.linalg.norm(traj.grid_states(), axis=1)
     per_step_drift = float(np.max(np.abs(np.diff(norms))))
 
     # the coarse rk4 probes drift past the default norm budget by design

@@ -654,7 +654,7 @@ class TestPropagatorTables:
         cfg = IntegratorConfig(method="rk4" if walk == "rk4" else "midpoint-exponential",
                                steps=2000, norm_tolerance=1.0)
         traj = evolve(ih, psi0, 16.0, cfg=cfg)
-        norms = np.array([np.linalg.norm(state) for state in traj.states])
+        norms = np.array([np.linalg.norm(state) for state in traj.grid_states()])
         devs = np.abs(norms - 1.0)
         k = np.flatnonzero(devs > devs[600])[0]
         assert propagate._BLOCK < k < 2000
@@ -698,16 +698,77 @@ class TestOverlapOffTheGrid:
                 traj.overlap_at(t)
 
 
+REPLAY_CASES = [("table-d8", 3, "midpoint-exponential"), ("apply-d32", 5, "midpoint-exponential"),
+                ("apply-d64", 6, "midpoint-exponential"), ("rk4-d8", 3, "rk4")]
+
+
+class TestCheckpointReplay:
+    """A step loop keeps the first state of each block of _BLOCK steps and
+    the last; the grid states between are replayed bit for bit. 600 steps
+    end partway through a block, at hbar 0.7."""
+
+    @pytest.mark.parametrize("name, n, method", REPLAY_CASES, ids=[c[0] for c in REPLAY_CASES])
+    def test_replay_is_the_walk(self, name, n, method):
+        traj = evolve(_annealer(_chain(n), 4.0), StateVector.uniform(2**n), 4.0,
+                      cfg=IntegratorConfig(method=method, steps=600, hbar=0.7))
+        grid = traj.grid_states()
+        assert grid.shape == (601, 2**n) and len(traj.states) == 4  # rows 0, 256, 512, 600
+        assert np.array_equal(np.vecdot(grid, traj.initial_state.amplitudes), traj.overlaps)
+        assert np.array_equal(grid[:-1:propagate._BLOCK], traj.states[:-1])
+        assert np.array_equal(grid[-1], traj.states[-1])
+        assert np.array_equal(traj.final_state.amplitudes, grid[-1] / np.linalg.norm(grid[-1]))
+        # off the grid against the held grid, asking for rows that restart a
+        # block's replay, walk it on, read it back, and read held rows
+        held = dataclasses.replace(traj, states=grid)
+        for k in (300, 290, 301, 511, 512, 100, 256, 599, 1):
+            s = (k + 0.3) * traj.ds
+            assert traj.overlap_at_s(s) == held.overlap_at_s(s), k
+
+    def test_bracket_across_a_checkpoint_replays_once(self):
+        # a grid minimum at checkpoint row 256 is refined on [s_255, s_257]:
+        # state 255 is replayed once from row 0, and state 256 is held; a
+        # replay walks one row past the one asked for, here to row 256
+        traj = evolve(_annealer(_chain(5), 4.0), StateVector.uniform(32), 4.0)
+        overlaps = traj.overlaps.copy()
+        overlaps[256] = 0.0
+        walks = []
+        counted = dataclasses.replace(
+            traj, overlaps=overlaps,
+            walk=lambda grid, lo, hi: walks.append((lo, hi)) or traj.walk(grid, lo, hi))
+        evaluations = []
+        overlap_at_s = propagate.Trajectory.overlap_at_s
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagate.Trajectory, "overlap_at_s",
+                       lambda self, s: evaluations.append(int(s / self.ds)) or overlap_at_s(self, s))
+            first_orthogonal(counted, EventQuery("orthogonal", coarse_threshold=1e-3))
+        assert set(evaluations) == {255, 256}
+        assert walks == [(0, 256)]
+
+    def test_walk_holds_no_grid(self):
+        # chain n = 8 at 2,000 steps: one (steps + 1) x d complex grid is 8.2 MB
+        ih = _annealer(_chain(8), 4.0)
+        psi0 = StateVector.uniform(ih.dim)
+        grid_bytes = 2001 * ih.dim * 16
+        tracemalloc.start()
+        try:
+            traj = evolve(ih, psi0, 4.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes, f"peak {peak} B against a {grid_bytes} B grid"
+        assert len(traj.states) == 9
+
+
 class TestNormPreservation:
     def test_midpoint_step_drift(self):
         traj = evolve(single_qubit_annealer(T=10.0), StateVector.uniform(2), horizon=10.0)
         assert traj.norm_max_dev <= 1e-12 * len(traj.times)
-        norms = np.linalg.norm(traj.states, axis=1)
+        norms = np.linalg.norm(traj.grid_states(), axis=1)
         assert np.max(np.abs(np.diff(norms))) <= 1e-12
 
     def test_step_loop_norm_is_numpys(self):
         traj = evolve(projector_annealer(T=10.0), StateVector.uniform(2), horizon=10.0)
-        assert traj.norm_max_dev == max(abs(np.linalg.norm(s) - 1.0) for s in traj.states)
+        assert traj.norm_max_dev == max(abs(np.linalg.norm(s) - 1.0) for s in traj.grid_states())
 
     def test_rk4_within_tolerance_at_sane_step(self):
         traj = evolve(single_qubit_annealer(T=10.0), StateVector.uniform(2), horizon=10.0,
