@@ -536,7 +536,11 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         raise ValueError(f"step ds = dt/hbar = {ds:g} (dt = {horizon / nsteps:g}, hbar = "
                          f"{hbar:g}) is not a finite normal float; use other time units")
     hs = _in_s(h, hbar)
-    s = np.arange(nsteps + 1) * ds  # the run's one grid array, scaled to t after the walk
+    try:
+        s = np.arange(nsteps + 1) * ds  # the run's one grid array, scaled to t after the walk
+    except MemoryError:
+        raise ValueError(f"a grid of {nsteps} steps (dt = {horizon / nsteps:g}) does not fit in "
+                         "memory; give fewer steps or a larger dt") from None
 
     # normalize exactly once; this vector is the reference phi0 throughout
     phi0 = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)

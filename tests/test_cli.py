@@ -310,12 +310,14 @@ GOOD_INSTANCE = {"n": 1, "fields": [[0, -0.5]]}
     ({}, ["verify", "--dt", "1e-300"], "dt"),
     ({}, ["verify", "--steps", str(sys.maxsize - 1)], "steps"),
     ({}, ["verify", "--steps", "99999999999999999999"], "steps"),
+    ({}, ["verify", "--dt", "1e-17"], "dt = 1e-17"),
+    ({}, ["verify", "--steps", "400000000000000000"], "400000000000000000 steps"),
 ], ids=["gue-without-dim", "instance-typo", "linear-with-power", "deep-file",
         "null-parameters", "null-integrator", "qac-without-instance", "unknown-campaign-field",
         "unknown-integrator-field", "unknown-parameter", "unknown-instance-field",
         "unknown-schedule-field", "string-knot", "bool-knot", "seeds-not-integers",
         "T-not-numbers", "poly-power-not-a-number", "dt-past-grid-size", "steps-past-grid-size",
-        "steps-past-maxsize"])
+        "steps-past-maxsize", "dt-past-memory", "steps-past-memory"])
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, files, argv, named):
     # the exit-code contract: a mistyped input is never a traceback or a violation
     for name, content in files.items():
