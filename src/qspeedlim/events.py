@@ -3,14 +3,15 @@ first orthogonality (overlap reaches 0, distance sqrt(2)) and first antipodal
 reach (distance 2 under the zero reference phase).
 
 Both events minimize a nonnegative functional of the overlap, so detection is
-a grid scan for local minima below a coarse threshold followed by
-golden-section refinement on the grid in s = t/hbar that the run walked, to a
-width relative to its s-horizon. Trajectory.overlap_at_s gives the overlap
+a grid scan for local minima below a coarse threshold followed by Brent's
+refinement on the grid in s = t/hbar that the run walked, to a width
+relative to its s-horizon. Trajectory.overlap_at_s gives the overlap
 under the Hamiltonian the trajectory carries (a spectral sum, or one short
 step from a grid state the step loop kept), so no caller passes H and no
 evaluation depends on the time unit; event times and widths leave multiplied
 by hbar.
-The reported bracket stops shrinking once round-off can steer the search, so
+Where round-off could steer the search, refinement stops and certifies its
+bracket instead: each end's value exceeds the best by more than round-off, so
 a flat minimum reports the bracket it is known to lie in.
 """
 
@@ -25,17 +26,18 @@ import numpy as np
 from .algebra import overlap_distance
 from .propagate import Trajectory
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 KINDS = ("orthogonal", "antipodal")
 
 NEAR_MISS_CEILING = 1e-3
 
 ROUNDOFF = 1e-14  # on a functional value: overlaps of unit vectors err by a few ulp of 1
 
-# a guard, not the stopping rule: a bracket of at most two grid steps meets the
-# goal, 1e-9 of an n-step horizon, in ceil(log_phi(2e9 / n)) <= 45 golden steps
+# a guard, not the stopping rule: golden steps alone, as at a minimum on a
+# bracket end, take a bracket of two grid steps to the goal, 1e-9 of an n-step
+# horizon, in ceil(log_phi(2e9 / n)) <= 45 steps; parabolic steps take fewer
 _GUARD_STEPS = 60
+
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # a golden step's share of the larger part
 
 _log = logging.getLogger(__name__)
 _log.addHandler(logging.NullHandler())  # silent unless the application configures logging
@@ -53,8 +55,10 @@ class EventQuery:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if not abs(self.coarse_threshold) < math.inf:  # NaN fails this test too
+            raise ValueError(f"coarse_threshold must be finite, got {self.coarse_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -67,30 +71,64 @@ class EventResult:
     note: str | None = None
 
 
-def _golden_min(f, a, b, width_goal, noise=0.0):
-    """Golden-section minimization on [a, b] to a bracket of width_goal;
-    returns (x, f(x), width). Once the two interior values differ by less
-    than `noise`, round-off may pick the side, so the width returned is that
-    step's bracket, the last one known to hold the minimum."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    held = None
+def _brent_min(f, a, b, width_goal, noise=0.0):
+    """Brent's minimization (Brent 1973, ch. 5) on [a, b]: parabolic steps
+    through the three best points, golden-section steps where they fail,
+    until the bracket reaches width_goal; returns (x, f(x), width).
+
+    An end moves only on a comparison that differs by more than `noise`, so
+    round-off cannot steer the bracket. Once a trial lands within `noise` of
+    the best value, stepping stops and each side is certified by probes at
+    x -+ h, h doubling, until one exceeds f(x) + noise: the width returned is
+    that certified bracket."""
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = f(x)
+    fa = fb = math.inf  # the ends' values; the grid points were never evaluated
+    d = e = 0.0
     for _ in range(_GUARD_STEPS):
         if b - a <= width_goal:
             break
-        if held is None and abs(fc - fd) < noise:
-            held = b - a
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+        # steps of at least tol: the last two, one each side of x, leave 2 tol
+        m, tol = 0.5 * (a + b), width_goal / 3.0 + math.ulp(abs(a) + abs(b))
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = (-p, q) if q > 0 else (p, -q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q  # the parabola's vertex, kept off the ends
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:  # a golden step into the larger part
+            e = (a if x >= m else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if abs(fu - fx) <= noise:
+            step = abs(u - x)
+            (fx, x) = best = min((fx, x), (fu, u))
+            ends = []
+            for end, f_end, sign in ((a, fa, -1.0), (b, fb, 1.0)):
+                # first where a parabola through x and the end rises by 2 noise
+                h = max(step, abs(end - x) * math.sqrt(2.0 * noise / (f_end - fx)))
+                while sign * (end - x) > h:
+                    fy = f(x + sign * h)
+                    best = min(best, (fy, x + sign * h))
+                    if fy > fx + noise:
+                        end = x + sign * h
+                        break
+                    h *= 2.0
+                ends.append(end)
+            (fx, x), (a, b) = best, ends
+            break
+        if fu < fx:
+            a, fa, b, fb = (x, fx, b, fb) if u >= x else (a, fa, x, fx)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    width = b - a if held is None else held
-    return (c, fc, width) if fc < fd else (d, fd, width)
+            a, fa, b, fb = (a, fa, u, fu) if u >= x else (u, fu, b, fb)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx, b - a
 
 
 def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, functional):
@@ -108,9 +146,9 @@ def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, function
     # grid local minima below the threshold (the last sample needs no right neighbour)
     here = samples[1:]
     right_ok = np.append(here[:-1] <= here[1:], True)
-    for k in np.flatnonzero((here <= threshold) & (here <= samples[:-1]) & right_ok) + 1:
+    for k in (np.flatnonzero((here <= threshold) & (here <= samples[:-1]) & right_ok) + 1).tolist():
         a, b = (k - 1) * traj.ds, min(k + 1, n) * traj.ds
-        s_min, f_min, width = _golden_min(f_at, a, b, width_goal, ROUNDOFF)
+        s_min, f_min, width = _brent_min(f_at, a, b, width_goal, ROUNDOFF)
         best = min(best, f_min)
         if f_min <= q.tolerance:
             return EventResult(triggered=True, time=float(s_min * traj.hbar),

@@ -8,20 +8,59 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qspeedlim import events, propagate
 from qspeedlim.algebra import HermitianOperator, StateVector, random_state
 from qspeedlim.bounds import char_times_ti, state_moments
+from qspeedlim.campaigns import run_analytic_suite, run_gue_ensemble, run_qac
 from qspeedlim.events import (
+    _GUARD_STEPS,
     EventQuery,
     EventResult,
-    _INVPHI,
-    _golden_min,
+    _brent_min,
     first_antipodal,
     first_orthogonal,
 )
-from qspeedlim.hamiltonians import random_hermitian
+from qspeedlim.hamiltonians import IsingInstance, random_hermitian
 from qspeedlim.propagate import BetaPolicy, IntegratorConfig, evolve
 
 PLUS = StateVector.normalized(np.array([1.0, 1.0]))
+
+CHAIN3 = IsingInstance(n=3, couplings=[(0, 1, -1.0), (1, 2, -1.0)], fields=[(0, 0.25), (2, -0.5)])
+
+
+def golden_oracle(f, a, b, width_goal, noise=0.0):
+    """Golden-section search, the refinement Brent's method replaced: the
+    reference its event times and widths are checked against. Once the two
+    interior values differ by less than `noise`, the width returned is that
+    step's bracket, the last one known to hold the minimum."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    held = None
+    for _ in range(_GUARD_STEPS):
+        if b - a <= width_goal:
+            break
+        if held is None and abs(fc - fd) < noise:
+            held = b - a
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    width = b - a if held is None else held
+    return (c, fc, width) if fc < fd else (d, fd, width)
+
+
+def recorded(minimize, widths):
+    """minimize, appending the width of every search to widths."""
+    def run(*args):
+        x, fx, width = minimize(*args)
+        widths.append(width)
+        return x, fx, width
+    return run
 
 
 def gap_hamiltonian():
@@ -175,6 +214,12 @@ class TestQueryAndRefinement:
             EventQuery(kind="sideways")
         with pytest.raises(ValueError):
             EventQuery(kind="orthogonal", tolerance=0.0)
+        # a NaN coarse_threshold would make max(nan, tolerance) a threshold
+        # no grid minimum is at or below, hiding every crossing
+        for field in ("tolerance", "coarse_threshold"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=field):
+                    EventQuery(kind="orthogonal", **{field: value})
 
     def test_kind_mismatch_rejected(self):
         H = gap_hamiltonian()
@@ -182,35 +227,42 @@ class TestQueryAndRefinement:
         with pytest.raises(ValueError, match="kind"):
             first_orthogonal(traj, EventQuery(kind="antipodal"))
 
-    def test_golden_section_reaches_width_goal(self):
+    def test_brent_reaches_width_goal_on_a_quadratic(self):
         calls = []
         f = lambda x: calls.append(x) or (x - 1.3) ** 2
-        xm, fm, width = _golden_min(f, 0.0, 2.0, width_goal=1e-6)
+        xm, fm, width = _brent_min(f, 0.0, 2.0, width_goal=1e-6)
         assert width <= 1e-6
         assert abs(xm - 1.3) <= width
-        # two interior points, then one evaluation per golden step
-        assert width == pytest.approx(2.0 * _INVPHI ** (len(calls) - 2))
+        assert len(calls) <= 10
         assert xm in calls and fm == (xm - 1.3) ** 2
 
-    def test_golden_section_width_stops_at_round_off(self):
-        # a flat quadratic whose values differ by less than the noise near
-        # the minimum: the search goes on to the goal, the width stays where
-        # round-off took over
-        calls = []
-        f = lambda x: calls.append(x) or 1e-3 * (x - 1.3) ** 2
-        xm, _, width = _golden_min(f, 0.0, 2.0, width_goal=1e-12, noise=1e-14)
-        assert width > 1e-9
-        assert abs(xm - 1.3) <= width
-        assert max(calls[-2:]) - min(calls[-2:]) < 1e-11 < width
+    @pytest.mark.parametrize("power", [2, 4], ids=["quadratic", "quartic"])
+    def test_brent_certifies_its_bracket_under_noise(self, power):
+        # a flat minimum with deterministic noise of amplitude below noise / 2:
+        # both ends of the returned bracket are evaluated points whose values
+        # exceed f(x) + noise, and the true minimizer lies between; the
+        # quartic's first probes fall inside the noise
+        noise = 1e-14
+        values = {}
+        f = lambda x: values.setdefault(
+            x, 1e-3 * (x - 1.3) ** power + 0.45 * noise * math.sin(1e12 * x))
+        xm, fm, width = _brent_min(f, 0.0, 2.0, width_goal=1e-12, noise=noise)
+        assert fm == values[xm]
+        ends = [(lo, hi) for lo in values for hi in values if hi - lo == width]
+        assert len(ends) == 1
+        lo, hi = ends[0]
+        assert lo <= 1.3 <= hi and lo <= xm <= hi
+        assert values[lo] > fm + noise and values[hi] > fm + noise
 
-    def test_golden_section_respects_iteration_cap(self):
-        # an unreachable goal stops at the guard: two interior points, then
-        # one evaluation per step
+    @pytest.mark.parametrize("f, goal", [(lambda x: abs(x - 0.5), 1e-9),
+                                         (lambda x: (x - 0.5) ** 2, 0.0),
+                                         (lambda x: abs(x - 0.5), 0.0)],
+                             ids=["kink", "quadratic-goal-0", "kink-goal-0"])
+    def test_brent_stops_within_the_guard(self, f, goal):
         calls = []
-        f = lambda x: calls.append(x) or abs(x - 0.5)
-        _, _, width = _golden_min(f, 0.0, 1.0, width_goal=0.0)
-        assert len(calls) == 2 + 60
-        assert width == pytest.approx(_INVPHI ** 60)
+        xm, _, width = _brent_min(lambda x: calls.append(x) or f(x), 0.0, 1.0, width_goal=goal)
+        assert len(calls) <= 1 + _GUARD_STEPS
+        assert abs(xm - 0.5) <= width
 
     def test_closed_form_refines_without_states(self):
         # a fixed H under midpoint-exponential keeps its spectrum, not states
@@ -228,6 +280,19 @@ class TestQueryAndRefinement:
             if res.triggered:
                 assert res.time > 0.0
 
+    def test_refinement_evaluations_per_search(self):
+        # every overlap_at_s call is a refinement evaluation: the grid scan
+        # reads traj.overlaps; golden section made about 31 per search
+        evaluations, searches = [], []
+        overlap_at_s = propagate.Trajectory.overlap_at_s
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagate.Trajectory, "overlap_at_s",
+                       lambda self, s: evaluations.append(s) or overlap_at_s(self, s))
+            mp.setattr(events, "_brent_min", recorded(_brent_min, searches))
+            run_gue_ensemble(8, range(50))
+        assert len(searches) >= 10
+        assert len(evaluations) / len(searches) <= 14
+
     def test_coarse_tolerance_loosens_trigger(self):
         # with tolerance 0.1 the near-miss case does trigger
         p0 = 0.52
@@ -237,3 +302,33 @@ class TestQueryAndRefinement:
         res = first_orthogonal(traj, EventQuery(kind="orthogonal", tolerance=0.1))
         assert res.triggered
         assert res.functional_value <= 0.1
+
+
+ORACLE_SUITES = {
+    "gue-dim2": lambda: run_gue_ensemble(2, range(100)),
+    "gue-dim8": lambda: run_gue_ensemble(8, range(50)),
+    "analytic": run_analytic_suite,
+    "analytic-hbar0.7": lambda: run_analytic_suite(IntegratorConfig(hbar=0.7)),
+    "qac-chain3": lambda: run_qac(CHAIN3, T_values=(1, 4, 16)),
+}
+
+
+@pytest.mark.parametrize("suite", ORACLE_SUITES)
+def test_brent_against_golden_oracle(suite):
+    """Same trigger flags as golden section; every triggered time within the
+    oracle's bracket width of the oracle's time; no search wider than the
+    oracle's widest on the suite."""
+    widths, oracle_widths = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events, "_brent_min", recorded(_brent_min, widths))
+        got = ORACLE_SUITES[suite]().reports
+        mp.setattr(events, "_brent_min", recorded(golden_oracle, oracle_widths))
+        want = ORACLE_SUITES[suite]().reports
+    assert len(widths) == len(oracle_widths)
+    assert max(widths, default=0.0) <= max(oracle_widths, default=0.0)
+    for rep, ref in zip(got, want, strict=True):
+        for kind, expected in ref.events.items():
+            event = rep.events[kind]
+            assert event.triggered == expected.triggered, (rep.provenance, kind)
+            if expected.triggered:
+                assert abs(event.time - expected.time) <= expected.bracket_width, (rep.provenance, kind)
