@@ -77,10 +77,10 @@ def _brent_min(f, a, b, width_goal, noise=0.0):
     until the bracket reaches width_goal; returns (x, f(x), width).
 
     An end moves only on a comparison that differs by more than `noise`, so
-    round-off cannot steer the bracket. Once a trial lands within `noise` of
-    the best value, stepping stops and each side is certified by probes at
-    x -+ h, h doubling, until one exceeds f(x) + noise: the width returned is
-    that certified bracket."""
+    round-off cannot steer the bracket. On a tie within `noise`, a midpoint
+    lower by more than `noise` narrows the bracket to the tied pair; else each
+    side is certified by probes at x -+ h, h doubling, until one exceeds
+    f(x) + noise: the width returned is that certified bracket."""
     x = w = v = a + _CGOLD * (b - a)
     fx = fw = fv = f(x)
     fa = fb = math.inf  # the ends' values; the grid points were never evaluated
@@ -103,8 +103,14 @@ def _brent_min(f, a, b, width_goal, noise=0.0):
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = f(u)
         if abs(fu - fx) <= noise:
+            # a tie: x and u straddle the minimum if their midpoint is lower, else sit on its floor
+            fy = f(y := 0.5 * (x + u))
+            if fy < min(fx, fu) - noise:
+                a, fa, b, fb = (x, fx, u, fu) if x < u else (u, fu, x, fx)
+                v, fv, w, fw, x, fx, d, e = u, fu, x, fx, y, fy, 0.0, 0.0
+                continue
             step = abs(u - x)
-            (fx, x) = best = min((fx, x), (fu, u))
+            (fx, x) = best = min((fx, x), (fu, u), (fy, y))
             ends = []
             for end, f_end, sign in ((a, fa, -1.0), (b, fb, 1.0)):
                 # first where a parabola through x and the end rises by 2 noise

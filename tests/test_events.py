@@ -83,6 +83,16 @@ class TestOrthogonal:
         assert res.bracket_width <= 4.0 * 1e-9
         assert res.kind == "orthogonal"
 
+    @pytest.mark.parametrize("horizon", [2.0 * math.pi, 4.0 * math.pi], ids=["2pi", "4pi"])
+    def test_crossing_on_a_grid_point_triggers(self, horizon):
+        # grid point 1000 (or 500) sits on pi, the midpoint of the first
+        # trial and its mirror image, whose values tie
+        traj = evolve(gap_hamiltonian(), PLUS, horizon=horizon)
+        res = first_orthogonal(traj)
+        assert res.triggered
+        assert res.functional_value <= 1e-6
+        assert abs(res.time - math.pi) <= res.bracket_width <= horizon * 1e-9
+
     def test_refined_time_survives_fresh_integration(self):
         H = gap_hamiltonian()
         traj = evolve(H, PLUS, horizon=4.0)
@@ -159,6 +169,14 @@ class TestAntipodal:
         assert abs(res.time - 2.0 * math.pi) <= res.bracket_width
         assert res.functional_value <= 1e-6
         assert res.kind == "antipodal"
+
+    @pytest.mark.parametrize("horizon", [4.0 * math.pi, 8.0 * math.pi], ids=["4pi", "8pi"])
+    def test_antipode_on_a_grid_point_triggers(self, horizon):
+        traj = evolve(symmetric_hamiltonian(), PLUS, horizon=horizon)
+        res = first_antipodal(traj)
+        assert res.triggered
+        assert res.functional_value <= 1e-6
+        assert abs(res.time - 2.0 * math.pi) <= min(res.bracket_width, 1e-6)
 
     def test_gap_case_never_reaches_antipode(self):
         # Re<psi|phi0> = (1 + cos t)/2 >= 0 keeps d below sqrt(2)
@@ -304,12 +322,29 @@ class TestQueryAndRefinement:
         assert res.functional_value <= 0.1
 
 
+def campaign_events(result):
+    return [((rep.provenance, kind), ev) for rep in result.reports for kind, ev in rep.events.items()]
+
+
+def aligned_grid_events():
+    """Horizons that are multiples of pi put a grid point on each exact
+    minimum, which the first trial and its mirror image straddle."""
+    found = []
+    for name, H in (("gap", gap_hamiltonian()), ("symmetric", symmetric_hamiltonian())):
+        for horizon in (2.0 * math.pi, 4.0 * math.pi):
+            traj = evolve(H, PLUS, horizon=horizon)
+            for first in (first_orthogonal, first_antipodal):
+                found.append(((name, horizon, first.__name__), first(traj)))
+    return found
+
+
 ORACLE_SUITES = {
-    "gue-dim2": lambda: run_gue_ensemble(2, range(100)),
-    "gue-dim8": lambda: run_gue_ensemble(8, range(50)),
-    "analytic": run_analytic_suite,
-    "analytic-hbar0.7": lambda: run_analytic_suite(IntegratorConfig(hbar=0.7)),
-    "qac-chain3": lambda: run_qac(CHAIN3, T_values=(1, 4, 16)),
+    "gue-dim2": lambda: campaign_events(run_gue_ensemble(2, range(100))),
+    "gue-dim8": lambda: campaign_events(run_gue_ensemble(8, range(50))),
+    "analytic": lambda: campaign_events(run_analytic_suite()),
+    "analytic-hbar0.7": lambda: campaign_events(run_analytic_suite(IntegratorConfig(hbar=0.7))),
+    "qac-chain3": lambda: campaign_events(run_qac(CHAIN3, T_values=(1, 4, 16))),
+    "aligned-grid": aligned_grid_events,
 }
 
 
@@ -321,14 +356,12 @@ def test_brent_against_golden_oracle(suite):
     widths, oracle_widths = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_brent_min", recorded(_brent_min, widths))
-        got = ORACLE_SUITES[suite]().reports
+        got = ORACLE_SUITES[suite]()
         mp.setattr(events, "_brent_min", recorded(golden_oracle, oracle_widths))
-        want = ORACLE_SUITES[suite]().reports
+        want = ORACLE_SUITES[suite]()
     assert len(widths) == len(oracle_widths)
     assert max(widths, default=0.0) <= max(oracle_widths, default=0.0)
-    for rep, ref in zip(got, want, strict=True):
-        for kind, expected in ref.events.items():
-            event = rep.events[kind]
-            assert event.triggered == expected.triggered, (rep.provenance, kind)
-            if expected.triggered:
-                assert abs(event.time - expected.time) <= expected.bracket_width, (rep.provenance, kind)
+    for (where, event), (_, expected) in zip(got, want, strict=True):
+        assert event.triggered == expected.triggered, where
+        if expected.triggered:
+            assert abs(event.time - expected.time) <= expected.bracket_width, where
