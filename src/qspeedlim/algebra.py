@@ -153,6 +153,18 @@ class HermitianOperator:
         _check_same_dim(self.dim, s.dim)
         return self.entries @ s.amplitudes
 
+    def terms(self, s) -> list:
+        """[(weight 1 in the shape of the times s, self)]: H as its one term."""
+        return [(np.ones(np.shape(s)), self)]
+
+    def step_terms(self, s0, s1) -> list:
+        """The one term of every step [s0, s1]: weight 1, its exact step mean."""
+        return self.terms(s0)
+
+    def in_s(self, hbar) -> "HermitianOperator":
+        """self: a fixed H reads no time, so it is the same in s = t/hbar."""
+        return self
+
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b> with conjugation on the first argument."""

@@ -299,9 +299,9 @@ def run_qac(instance: IsingInstance, sched: Schedule | None = None,
     psi0 = StateVector.uniform(H_P.dim)
     m = state_moments(H_P, psi0)
 
-    # adiabatic diagnostic: final population of H_P's ground space, its lowest diagonal entries
+    # adiabatic diagnostic: final population of H_P's ground space, diagonal minima to 1e-9 max|E|
     energies = H_P.entries.diagonal().real
-    ground = np.flatnonzero(np.abs(energies - energies.min()) <= 1e-9)
+    ground = np.flatnonzero(np.abs(energies - energies.min()) <= 1e-9 * np.max(np.abs(energies)))
 
     def member(T):
         ih = InterpolatedHamiltonian(initial=H_I, problem=H_P, schedule=sched,

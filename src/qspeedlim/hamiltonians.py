@@ -1,16 +1,16 @@
 """Hamiltonian builders: transverse-field starters, diagonal Ising problems,
 random Gaussian-ensemble draws, and schedule-interpolated combinations
-f(t/T) H_I + g(t/T) H_P of exactly two terms, whose terms(t) assembles H(t)
-from its schedule envelopes at given times and whose step_terms(t0, t1) gives
-the Hamiltonian of every integrator step [t0, t1]: the exact step means of
-the envelopes."""
+f(t/T) H_I + g(t/T) H_P of exactly two terms, which speak a fixed
+HermitianOperator's term protocol: terms(t) assembles H(t) from the schedule
+envelopes, step_terms(t0, t1) gives every integrator step's exact envelope
+means, and in_s(hbar) divides T by hbar."""
 
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -189,6 +189,14 @@ class InterpolatedHamiltonian:
         return [((schedule_integral(self.schedule, u1, env)
                   - schedule_integral(self.schedule, u0, env)) / du, op)
                 for env, op in (("f", self.initial), ("g", self.problem))]
+
+    def in_s(self, hbar) -> "InterpolatedHamiltonian":
+        """H with time in s = t/hbar: the interpolation time T becomes T/hbar."""
+        total_time = self.total_time / hbar
+        if not total_time < math.inf:
+            raise ValueError(f"interpolation time T / hbar = {self.total_time:g} / {hbar:g} is "
+                             "not finite; use other time units")
+        return replace(self, total_time=total_time)
 
     def matrix(self, t: float) -> np.ndarray:
         """H(t) as a raw ndarray, for t in [0, T]."""

@@ -17,10 +17,9 @@ hbar. Nothing between reads hbar, so a run at (lambda t, lambda hbar) walks
 the s grid of the run at (t, hbar).
 
 Both integrals are trapezoid sums on the step grid; the reference state enters
-only through the scalar phase above. Under a fixed H every beta is constant,
-so the integrand is one norm per policy, broadcast over the grid; under H(t)
-its rows H(s_k) phi0 - beta_k phi0 are formed a block of _BLOCK grid rows at a
-time.
+only through the scalar phase above. The integrand's rows H(s_k) phi0 -
+beta_k phi0 are formed a block of _BLOCK grid rows at a time; a fixed H and
+every beta it admits are constant, so there one row serves the grid.
 
 A fixed H = V diag(w) V^dagger under midpoint-exponential is solved in closed
 form from one eigh: with c = V^dagger phi0, <psi(s)|phi0> = sum_j |c_j|^2
@@ -36,29 +35,29 @@ first state of each block of _BLOCK steps and the last (uniform checkpointing;
 Griewank & Walther, ACM TOMS 26, 19 (2000)); a state between is replayed from
 its block's checkpoint by the walk that took it, so its bits are the run's.
 
-H becomes a step in one place, a _TaylorKernel built once per run. It stacks
-the operators as flat rows, float64 when every term is real (as
-transverse_initial, ising_problem and shift_ground_to_zero always are), and
-builds each step's d x d matrix from one weight row, so no step samples the
-schedule. A midpoint-exponential step [s0, s1] applies exp(-i H_k (s1 - s0)),
-with H_k the exact means of f and g over the step (the first Magnus term;
-Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) from one
-InterpolatedHamiltonian.step_terms table per run, as the Taylor series
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) of the smallest
-degree m whose theta_m covers rho = (s1 - s0) * sum |weight| ||operator||_1
->= ||exponent||_2; theta_m bounds the tail beyond degree m by unit round-off,
-so the step is exact to round-off. A step past theta_20 (about 1.46) is an
-eigh instead, so no series passes degree 20 at any ds; annealing runs at the
-default 2000 steps take degrees 5 to 8. The midpoint walk has two forms,
-chosen by dimension. Up to _TABLE_DIM = 16, where numpy's per-call cost
+H becomes a step in one place, a _TaylorKernel built once per run. It reads
+only the term protocol both kinds of H speak: terms(s), step_terms(s0, s1) and
+in_s(hbar), a fixed H being one term of weight 1. It stacks the operators as
+flat rows, float64 when every term is real (as transverse_initial,
+ising_problem and shift_ground_to_zero always are), and builds each step's
+d x d matrix from one weight row, so no step samples the schedule. A
+midpoint-exponential step [s0, s1] applies exp(-i H_k (s1 - s0)), with H_k the
+exact step means of the weights (the first Magnus term; Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 151 (2009)) from one step_terms table per run, as the
+Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) of the
+smallest degree m whose theta_m covers rho = (s1 - s0) * sum |weight|
+||operator||_1 >= ||exponent||_2; theta_m bounds the tail beyond degree m by
+unit round-off, so the step is exact to round-off. A step past theta_20 (about
+1.46) is an eigh instead, so no series passes degree 20 at any ds; annealing
+runs at the default 2000 steps take degrees 5 to 8. The midpoint walk has two
+forms, chosen by dimension. Up to _TABLE_DIM = 16, where numpy's per-call cost
 outweighs the products, each block of _BLOCK = 256 steps becomes one table of
 d x d propagators U_k, the same series summed as matrices (theta_m bounds the
 matrix series too; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
 (2009)) by one batched matmul per power, or one batched eigh, and the walk is
 psi_(k+1) = U_k psi_k. Above it, each step applies its series to the state, a
-product per degree. Each rk4 stage takes H(s) from one
-InterpolatedHamiltonian.terms table per run. A real matrix multiplies each
-complex state as a (d, 2) float block.
+product per degree. Each rk4 stage takes H(s) from one terms table per run. A
+real matrix multiplies each complex state as a (d, 2) float block.
 
 evolve runs with numpy's overflow and invalid warnings off: a check reports
 every inf or NaN, where it becomes certain. Each policy's phase factor and
@@ -261,7 +260,7 @@ class Trajectory:
     @functools.cached_property
     def _kernel(self) -> _TaylorKernel:
         """The step kernel of self.hamiltonian, built once for every overlap_at_s."""
-        return _TaylorKernel(_in_s(self.hamiltonian, self.hbar))
+        return _TaylorKernel(self.hamiltonian.in_s(self.hbar))
 
     def overlap_at(self, t: float) -> complex:
         """<psi(t)|phi0> at an off-grid time t: overlap_at_s(t / hbar)."""
@@ -345,17 +344,6 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _in_s(h, hbar):
-    """h with time in s = t/hbar: an interpolation time T becomes T/hbar."""
-    if not isinstance(h, InterpolatedHamiltonian):
-        return h
-    total_time = h.total_time / hbar
-    if not total_time < math.inf:
-        raise ValueError(f"interpolation time T / hbar = {h.total_time:g} / {hbar:g} is not "
-                         "finite; use other time units")
-    return replace(h, total_time=total_time)
-
-
 def _check_phase(phase: float, horizon: float) -> None:
     """Reject a phase past FLOAT_FLOOR * 2**52, where its rounding alone exceeds FLOAT_FLOOR."""
     if phase > FLOAT_FLOOR * 2.0**52:
@@ -364,18 +352,19 @@ def _check_phase(phase: float, horizon: float) -> None:
 
 
 class _TaylorKernel:
-    """The one place H becomes a step, built once per run of h. The operators
-    of h are stacked as flat rows, float64 when every imaginary part is
-    exactly zero, so a weight row w gives X = w @ rows, assembled in place as
-    a d x d matrix. apply takes exp(-i X) psi as the Taylor series of the
-    step's degree, one product of the coefficients c_j = (-i)^j / j! with the
-    Krylov rows K_0 = psi, K_j = X K_(j-1), or by one eigh of X past _THETA;
-    product gives X psi. A real X multiplies each complex row as a (d, 2)
-    float block, one real product in place of a complex one."""
+    """The one place H becomes a step, built once per run of h and reading
+    only h's term protocol. The operators of h.terms are stacked as flat
+    rows, float64 when every imaginary part is exactly zero, so a weight row
+    w gives X = w @ rows, assembled in place as a d x d matrix. apply takes
+    exp(-i X) psi as the Taylor series of the step's degree, one product of
+    the coefficients c_j = (-i)^j / j! with the Krylov rows K_0 = psi,
+    K_j = X K_(j-1), or by one eigh of X past _THETA; product gives X psi. A
+    real X multiplies each complex row as a (d, 2) float block, one real
+    product in place of a complex one."""
 
     def __init__(self, h):
         self.h = h
-        ops = (h.initial, h.problem) if isinstance(h, InterpolatedHamiltonian) else (h,)
+        ops = [op for _, op in h.terms(0.0)]
         self.norms = [np.linalg.norm(op.entries, 1) for op in ops]
         self.ops = np.array([op.entries.ravel() for op in ops])
         if not np.any(self.ops.imag):
@@ -388,24 +377,16 @@ class _TaylorKernel:
 
     def steps(self, s, ds):
         """The steps between consecutive points s, each taken over ds: weight
-        rows of their exponents ds H_k, with H_k the exact step means of
-        h.step_terms (a fixed H: weight 1); the bounds rho_k = (s1 - s0) *
-        sum |weight| ||operator||_1 >= ||exponent||_2; and the smallest degrees
-        m whose theta_m covers rho_k, where len(_THETA) + 1 means apply's eigh."""
+        rows of their exponents ds H_k, H_k the exact step means of h.step_terms;
+        the bounds rho_k = (s1 - s0) * sum |weight| ||operator||_1 >= ||exponent||_2;
+        and the smallest degrees m whose theta_m covers rho_k, where
+        len(_THETA) + 1 means apply's eigh."""
         s0, s1 = s[:-1], s[1:]
-        weights = ([w for w, _ in self.h.step_terms(s0, s1)]
-                   if isinstance(self.h, InterpolatedHamiltonian) else [np.ones_like(s0)])
+        weights = [w for w, _ in self.h.step_terms(s0, s1)]
         rho = (s1 - s0) * sum(np.abs(w) * n for w, n in zip(weights, self.norms))
         rows = np.column_stack(weights).astype(self.ops.dtype)
         rows *= ds
         return rows, rho, (np.searchsorted(_THETA, rho) + 1).tolist()
-
-    def points(self, s):
-        """Weight rows of H itself at the points s, of any shape: the h.terms
-        envelopes (a fixed H: weight 1), on a last axis."""
-        if isinstance(self.h, InterpolatedHamiltonian):
-            return np.stack([e for e, _ in self.h.terms(s)], axis=-1).astype(self.ops.dtype)
-        return np.broadcast_to(np.ones(1, self.ops.dtype), np.shape(s) + (1,))
 
     def apply(self, row, psi, degree, out):
         """out = exp(-i X) psi, X = row @ ops, at the given Taylor degree."""
@@ -514,15 +495,17 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     """Propagate psi0 under h for the given horizon, recording observables.
 
     h is either a fixed HermitianOperator or an InterpolatedHamiltonian; the
-    horizon must fit inside the interpolation window in the latter case.
+    horizon must fit inside the interpolation window in the latter case. Both are
+    read by their term protocol; a fixed H takes one integrand row and, under
+    midpoint-exponential, the closed form.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
-    interp = isinstance(h, InterpolatedHamiltonian)
+    fixed = isinstance(h, HermitianOperator)
     if psi0.dim != h.dim:
         raise ValueError(f"state dimension {psi0.dim} does not match operator dimension {h.dim}")
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if interp and horizon > h.total_time * (1.0 + 1e-12):
+    if not fixed and horizon > h.total_time * (1.0 + 1e-12):
         raise ValueError(f"horizon {horizon} exceeds the interpolation window {h.total_time}")
     betas = list(betas)
     labels = [p.label for p in betas]
@@ -535,7 +518,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     if not sys.float_info.min <= ds < math.inf:
         raise ValueError(f"step ds = dt/hbar = {ds:g} (dt = {horizon / nsteps:g}, hbar = "
                          f"{hbar:g}) is not a finite normal float; use other time units")
-    hs = _in_s(h, hbar)
+    hs = h.in_s(hbar)
     try:
         s = np.arange(nsteps + 1) * ds  # the run's one grid array, scaled to t after the walk
     except MemoryError:
@@ -545,24 +528,22 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
     # normalize exactly once; this vector is the reference phi0 throughout
     phi0 = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)
 
-    # each policy's beta and integrand ||(H(s_k) - beta_k) phi0|| on the step grid
-    if interp:  # H(s_k) phi0, a sum over the terms of envelope(s_k) * (operator phi0)
-        parts = [(e, op.entries @ phi0) for e, op in hs.terms(s)]
-        policies = [(p.label, p.values(s, hs)) for p in betas]  # H(t) admits every policy
-        integrands = [np.empty_like(s) for _ in policies]
-        for lo in range(0, nsteps + 1, _BLOCK):  # a block of grid rows at a time
-            block = slice(lo, lo + _BLOCK)
-            residual_base = functools.reduce(operator.iadd,
-                                             (np.outer(e[block], v) for e, v in parts))
-            for integrand, (_, bvals) in zip(integrands, policies):
-                integrand[block] = np.linalg.norm(
-                    residual_base - bvals[block, None] * phi0[None, :], axis=1)
-    else:  # H and every beta a fixed H admits are constant: one row serves the grid
-        residual_base = (h.entries @ phi0)[None, :]
-        policies = ((p.label, p.values(s, hs)) for p in betas)  # in turn: a proportional one fails
+    # each policy's beta and integrand ||(H(s_k) - beta_k) phi0|| on the step grid; a fixed
+    # H and every beta it admits are constant, so there one point serves the grid
+    points = s[:1] if fixed else s
+    policies = [(p.label, p.values(points, hs)) for p in betas]
+    parts = [(e, op.entries @ phi0) for e, op in hs.terms(points)]
+    integrands = [np.empty_like(points) for _ in policies]
+    for lo in range(0, len(points), _BLOCK):  # a block of grid points at a time
+        block = slice(lo, lo + _BLOCK)
+        residual_base = functools.reduce(operator.iadd, (np.outer(e[block], v) for e, v in parts))
+        for integrand, (_, bvals) in zip(integrands, policies):
+            integrand[block] = np.linalg.norm(
+                residual_base - bvals[block, None] * phi0[None, :], axis=1)
     # each policy's phase factor exp(-i int_0^s beta), then its integrand, checked before any step
     rotations, rhs_integrals, integrand_max = {}, {}, {}
-    for i, (label, bvals) in enumerate(policies):
+    for (label, bvals), integrand in zip(policies, integrands):
+        bvals, integrand = (np.broadcast_to(x, s.shape) for x in (bvals, integrand))
         phase = cumulative_trapezoid(bvals, ds)
         rotations[label] = rotation = -1j * phase  # exp(-i phase), formed in place
         np.exp(rotation, out=rotation)
@@ -570,8 +551,6 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         if bad.size:
             raise IntegrationError(f"beta policy {label!r}: distance not finite (phase "
                                    f"{phase[bad[0]]:.6g})", time=s[bad[0]] * hbar)
-        integrand = integrands[i] if interp else np.broadcast_to(np.linalg.norm(
-            residual_base - bvals[:1, None] * phi0[None, :], axis=1), s.shape)
         integrand_max[label] = float(np.max(integrand))
         if not math.isfinite(integrand_max[label]):
             k = np.flatnonzero(~np.isfinite(integrand))[0]
@@ -580,7 +559,7 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
         rhs_integrals[label] = cumulative_trapezoid(integrand, ds * hbar)
 
     spectrum = states = walk = None
-    if cfg.method == "midpoint-exponential" and not interp:
+    if cfg.method == "midpoint-exponential" and fixed:
         spectrum, overlaps, psi, norm_max_dev = _closed_form(h.entries, phi0, s, s * hbar,
                                                              cfg.norm_tolerance)
     else:
@@ -606,8 +585,9 @@ def evolve(h, psi0: StateVector, horizon: float, cfg: IntegratorConfig | None = 
                 def walk(grid, lo, hi):
                     for k, psi, out in zip(range(lo, hi), grid, grid[1:]):
                         kernel.apply(rows[k], psi, degrees[k], out)
-        else:  # H at each step's stages s_k, s_k + ds/2 and s_k + ds
-            stages = kernel.points(s[:-1, None] + np.array([0.0, ds / 2.0, ds]))
+        else:  # the weight rows of H at each step's stages s_k, s_k + ds/2 and s_k + ds
+            terms = hs.terms(s[:-1, None] + np.array([0.0, ds / 2.0, ds]))
+            stages = np.stack([e for e, _ in terms], axis=-1).astype(kernel.ops.dtype)
             deriv = lambda row, psi: -1j * kernel.product(row, psi)
 
             def walk(grid, lo, hi):

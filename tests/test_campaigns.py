@@ -215,6 +215,20 @@ class TestQacCampaign:
         assert diag["T"] == 200.0
         assert diag["problem_ground_population"] > 0.9
 
+    def test_ground_space_of_a_small_energy_scale(self):
+        # J = -1e-10 splits the two aligned states from the two anti-aligned
+        # ones by 4e-10; the walk barely moves the uniform state, so half of
+        # it lies in the ground space, not all of it
+        instance = IsingInstance(n=2, couplings=((0, 1, -1e-10),))
+        diag = run_qac(instance, T_values=(4.0,)).summary["qac_diagnostics"][0]
+        assert diag["final_survival"] == pytest.approx(1.0, abs=1e-9)
+        assert diag["problem_ground_population"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_all_zero_problem_is_ground_throughout(self):
+        instance = IsingInstance(n=2)
+        diag = run_qac(instance, T_values=(4.0,), integrator=FAST).summary["qac_diagnostics"][0]
+        assert diag["problem_ground_population"] == pytest.approx(1.0, abs=1e-12)
+
     def test_linear_schedule_integral_recorded(self):
         instance = IsingInstance(n=1, couplings=(), fields=((0, 1.0),))
         result = run_qac(instance, T_values=(1.0,), integrator=FAST)

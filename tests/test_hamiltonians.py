@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -209,6 +211,23 @@ class TestRandomHermitian:
         assert np.var(offr) == pytest.approx(0.25, rel=0.2)
 
 
+SCHEDULES = [Schedule.linear(), Schedule.polynomial(0.1), Schedule.polynomial(2.5),
+             Schedule.tabulated([[0.0, 1.0, 0.0], [0.37, 0.5, 0.2], [1.0, 0.0, 1.0]])]
+SCHEDULE_IDS = ["linear", "poly0.1", "poly2.5", "tabulated"]
+# the inputs the integrator passes: a time, the step grid and its rk4 stages
+GRID = np.linspace(0.0, 8.0, 9)
+TIMES = [2.9, GRID, GRID[:-1, None] + np.array([0.0, 0.5, 1.0])]
+TIMES_IDS = ["scalar", "grid", "rk4-stages"]
+
+
+def term_sums(terms, shape):
+    """sum of weight * operator.entries at every index of the times' shape,
+    the weighted terms added in place from the first, as H(t) is assembled."""
+    return {idx: functools.reduce(operator.iadd, (np.asarray(w)[idx] * op.entries
+                                                  for w, op in terms))
+            for idx in np.ndindex(shape)}
+
+
 class TestInterpolatedHamiltonian:
     def setup_method(self):
         self.initial = transverse_initial(2)
@@ -265,10 +284,7 @@ class TestInterpolatedHamiltonian:
         with pytest.raises(ValueError, match="total_time"):
             self.make(T=T)
 
-    @pytest.mark.parametrize("schedule", [
-        Schedule.linear(), Schedule.polynomial(0.1), Schedule.polynomial(2.5),
-        Schedule.tabulated([[0.0, 1.0, 0.0], [0.37, 0.5, 0.2], [1.0, 0.0, 1.0]]),
-    ], ids=["linear", "poly0.1", "poly2.5", "tabulated"])
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
     def test_step_terms_are_quadrature_means(self, schedule):
         # the steps include the first, where tau^0.1 is steepest, and one
         # across the knot at tau = 0.37
@@ -292,6 +308,42 @@ class TestInterpolatedHamiltonian:
         assert t0[0] / 19.2 == t1[0] / 19.2
         for weight, _ in ih.step_terms(t0, t1):
             assert weight.tolist() == [0.0]
+
+    @pytest.mark.parametrize("s", TIMES, ids=TIMES_IDS)
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
+    def test_terms_sum_to_matrix(self, schedule, s):
+        # matrix(t), one time at a time, is the oracle of the weighted terms;
+        # numpy's vectorized power may round an array's tau^p one ulp from a
+        # scalar's, so only a scalar time is held to the bit
+        ih = self.make(schedule=schedule, T=8.0)
+        terms = ih.terms(s)
+        assert [op for _, op in terms] == [self.initial, self.problem]
+        assert [np.shape(w) for w, _ in terms] == [np.shape(s)] * 2
+        for idx, total in term_sums(terms, np.shape(s)).items():
+            want = ih.matrix(float(np.asarray(s)[idx]))
+            assert np.array_equal(total, want) if np.ndim(s) == 0 else (
+                np.max(np.abs(total - want)) <= 1e-15)
+        assert [np.shape(w) for w, _ in ih.step_terms(s, s + 0.25 * (8.0 - s))] == [np.shape(s)] * 2
+
+    @pytest.mark.parametrize("s", TIMES, ids=TIMES_IDS)
+    def test_fixed_operator_is_one_term_of_weight_one(self, s):
+        H = random_hermitian(4, 2)
+        for terms in (H.terms(s), H.step_terms(s, s + 0.25)):
+            assert [op for _, op in terms] == [H]
+            assert [np.shape(w) for w, _ in terms] == [np.shape(s)]
+            for total in term_sums(terms, np.shape(s)).values():
+                assert np.array_equal(total, H.entries)
+
+    def test_in_s_scales_only_the_interpolation_time(self):
+        H = random_hermitian(4, 2)
+        assert H.in_s(0.37) is H
+        ih = self.make(T=8.0)
+        scaled = ih.in_s(0.5)
+        assert scaled.total_time == 16.0
+        assert (scaled.initial, scaled.problem, scaled.schedule) == (
+            ih.initial, ih.problem, ih.schedule)
+        with pytest.raises(ValueError, match="T / hbar = 8 / 1e-308 is not finite"):
+            ih.in_s(1e-308)
 
     def test_problem_moments_in_transverse_ground_state(self):
         # moments of the problem term in the initial ground state drive the

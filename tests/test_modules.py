@@ -154,3 +154,26 @@ def test_every_json_object_is_read_through_from_json():
     assert [hit for path in modules for hit in from_dict_shapes(path)] == [
         "campaigns.py:Campaign from_json", "hamiltonians.py:IsingInstance from_json",
         "schedules.py:Schedule from_json"]
+
+
+def isinstance_sites(path: Path) -> list:
+    """'Class.function type' for each isinstance call in the file, by the
+    innermost definitions that hold it and the type expression it tests."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                yield f"{scope} {ast.unparse(child.args[1])}"
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            yield from visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    return list(visit(ast.parse(path.read_text(), filename=str(path)), ""))
+
+
+def test_only_the_proportional_policy_asks_which_hamiltonian_kind_it_holds():
+    # a fixed H and an H(t) speak one term protocol (terms, step_terms,
+    # in_s), so the step kernel reads only that; a beta proportional to
+    # g(t/T) is the one thing a fixed H cannot give
+    sites = isinstance_sites(PACKAGE / "propagate.py")
+    assert [site for site in sites if "InterpolatedHamiltonian" in site] == [
+        "BetaPolicy.values InterpolatedHamiltonian"]
+    assert [site for site in sites if site.startswith("_TaylorKernel")] == []

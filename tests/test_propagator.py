@@ -324,6 +324,15 @@ class TestFixedHamiltonianAgainstGrid:
                cfg=IntegratorConfig(steps=2000), betas=self.BETAS)
         assert shapes and not [s for s in shapes if len(s) == 2 and s[0] > 1]
 
+    def test_integrand_asks_terms_for_one_row(self, monkeypatch):
+        # a midpoint run of a fixed H is its closed form and one integrand row
+        shapes, terms = [], HermitianOperator.terms
+        monkeypatch.setattr(HermitianOperator, "terms",
+                            lambda self, s: shapes.append(np.shape(s)) or terms(self, s))
+        evolve(random_hermitian(8, 5), random_state(8, [5, 17]), 3.0,
+               cfg=IntegratorConfig(steps=2000), betas=self.BETAS)
+        assert shapes == [(1,)]
+
     def test_overlap_at_matches_spectral_sum(self):
         H = random_hermitian(8, 7)
         traj = evolve(H, random_state(8, [7, 17]), 6.0)
