@@ -173,8 +173,7 @@ class InterpolatedHamiltonian:
         """(envelope, operator) pairs with H(t) = sum of envelope * operator at t/T
         clamped to [0, 1]; t is a time or an array of times, each envelope has
         its shape. Callers add the weighted terms in place, from the first."""
-        tau = t / self.total_time
-        tau = np.clip(tau, 0.0, 1.0) if isinstance(tau, np.ndarray) else min(max(tau, 0.0), 1.0)
+        tau = np.clip(t / self.total_time, 0.0, 1.0)
         return [(self.schedule.f(tau), self.initial), (self.schedule.g(tau), self.problem)]
 
     def step_terms(self, t0, t1) -> list:

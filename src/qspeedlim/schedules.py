@@ -113,10 +113,13 @@ def _checked_knots(knots) -> np.ndarray:
 def _envelope(s: Schedule, tau, envelope: str):
     """The envelope g, or f, at tau in [0, 1]: g = tau^p (linear is p = 1)
     with f = 1 - g, or the piecewise-linear column of a tabulated schedule."""
+    tau = np.asarray(tau, dtype=float)  # one numpy path, so a point and a grid agree bitwise
     if s.kind == "tabulated":
-        return np.interp(tau, s.knots[:, 0], s.knots[:, 1 if envelope == "f" else 2])
-    g = tau**s.power if s.kind == "poly" else tau
-    return 1.0 - g if envelope == "f" else g
+        out = np.interp(tau, s.knots[:, 0], s.knots[:, 1 if envelope == "f" else 2])
+    else:
+        g = tau**s.power if s.kind == "poly" else tau
+        out = 1.0 - g if envelope == "f" else g
+    return out if out.ndim else float(out)
 
 
 def schedule_integral(s: Schedule, upto=1.0, envelope="g"):

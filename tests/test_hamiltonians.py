@@ -312,17 +312,15 @@ class TestInterpolatedHamiltonian:
     @pytest.mark.parametrize("s", TIMES, ids=TIMES_IDS)
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=SCHEDULE_IDS)
     def test_terms_sum_to_matrix(self, schedule, s):
-        # matrix(t), one time at a time, is the oracle of the weighted terms;
-        # numpy's vectorized power may round an array's tau^p one ulp from a
-        # scalar's, so only a scalar time is held to the bit
+        # matrix(t), one time at a time, is the oracle of the weighted terms,
+        # held to the bit for every time shape
         ih = self.make(schedule=schedule, T=8.0)
         terms = ih.terms(s)
         assert [op for _, op in terms] == [self.initial, self.problem]
         assert [np.shape(w) for w, _ in terms] == [np.shape(s)] * 2
         for idx, total in term_sums(terms, np.shape(s)).items():
             want = ih.matrix(float(np.asarray(s)[idx]))
-            assert np.array_equal(total, want) if np.ndim(s) == 0 else (
-                np.max(np.abs(total - want)) <= 1e-15)
+            assert np.array_equal(total, want)
         assert [np.shape(w) for w, _ in ih.step_terms(s, s + 0.25 * (8.0 - s))] == [np.shape(s)] * 2
 
     @pytest.mark.parametrize("s", TIMES, ids=TIMES_IDS)
