@@ -4,15 +4,16 @@ reach (distance 2 under the zero reference phase).
 
 Both events minimize a nonnegative functional of the overlap, so detection is
 a grid scan for local minima below a coarse threshold followed by Brent's
-refinement on the grid in s = t/hbar that the run walked, to a width
-relative to its s-horizon. Trajectory.overlap_at_s gives the overlap
-under the Hamiltonian the trajectory carries (a spectral sum, or one short
-step from a grid state the step loop kept), so no caller passes H and no
-evaluation depends on the time unit; event times and widths leave multiplied
-by hbar.
+refinement, from the grid minimum, its two neighbours and their samples, on
+the grid in s = t/hbar that the run walked, to a width relative to its
+s-horizon. Trajectory.overlap_at_s gives the overlap under the Hamiltonian
+the trajectory carries (a spectral sum, or one short step from a grid state
+the step loop kept), so no caller passes H and no evaluation depends on the
+time unit; event times and widths leave multiplied by hbar.
 Where round-off could steer the search, refinement stops and certifies its
-bracket instead: each end's value exceeds the best by more than round-off, so
-a flat minimum reports the bracket it is known to lie in.
+bracket instead: each end's value exceeds the best by more than round-off, or
+no probe on its side rose, so a flat minimum reports the bracket it is known
+to lie in.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ NEAR_MISS_CEILING = 1e-3
 
 ROUNDOFF = 1e-14  # on a functional value: overlaps of unit vectors err by a few ulp of 1
 
-# a guard, not the stopping rule: golden steps alone, as at a minimum on a
-# bracket end, take a bracket of two grid steps to the goal, 1e-9 of an n-step
-# horizon, in ceil(log_phi(2e9 / n)) <= 45 steps; parabolic steps take fewer
+# a guard, not the stopping rule: golden steps alone take a bracket of two
+# grid steps to the goal, 1e-9 of an n-step horizon, in ceil(log_phi(2e9 / n))
+# <= 45 steps; parabolic steps, and golden steps from x on an end, take fewer
 _GUARD_STEPS = 60
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # a golden step's share of the larger part
@@ -71,20 +72,20 @@ class EventResult:
     note: str | None = None
 
 
-def _brent_min(f, a, b, width_goal, noise=0.0):
-    """Brent's minimization (Brent 1973, ch. 5) on [a, b]: parabolic steps
-    through the three best points, golden-section steps where they fail,
-    until the bracket reaches width_goal; returns (x, f(x), width).
+def _brent_min(f, points, values, width_goal, noise=0.0):
+    """Brent's minimization (Brent 1973, ch. 5) on the bracket (a, x, b) with
+    known values (fa, fx, fb), fx the least: parabolic steps through the three
+    best points, the first through the bracket, golden-section steps where
+    they fail, until the bracket reaches width_goal; returns (x, f(x), width).
 
     An end moves only on a comparison that differs by more than `noise`, so
-    round-off cannot steer the bracket. On a tie within `noise`, a midpoint
-    lower by more than `noise` narrows the bracket to the tied pair; else each
-    side is certified by probes at x -+ h, h doubling, until one exceeds
-    f(x) + noise: the width returned is that certified bracket."""
-    x = w = v = a + _CGOLD * (b - a)
-    fx = fw = fv = f(x)
-    fa = fb = math.inf  # the ends' values; the grid points were never evaluated
-    d = e = 0.0
+    round-off cannot steer the bracket. On a tie within `noise`, each side is
+    certified by probes at x -+ h, h doubling, until one exceeds f(x) + noise:
+    the width returned is that certified bracket. A side whose end ties f(x),
+    as x = b at the horizon, is probed from the tied step and may keep its end."""
+    (a, x, b), (fa, fx, fb) = points, values
+    (fw, w), (fv, v) = sorted(((fa, a), (fb, b)))
+    d = e = b - a  # the bracket stands in for the last two steps, so vertices come first
     for _ in range(_GUARD_STEPS):
         if b - a <= width_goal:
             break
@@ -102,19 +103,14 @@ def _brent_min(f, a, b, width_goal, noise=0.0):
             d = _CGOLD * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = f(u)
-        if abs(fu - fx) <= noise:
-            # a tie: x and u straddle the minimum if their midpoint is lower, else sit on its floor
-            fy = f(y := 0.5 * (x + u))
-            if fy < min(fx, fu) - noise:
-                a, fa, b, fb = (x, fx, u, fu) if x < u else (u, fu, x, fx)
-                v, fv, w, fw, x, fx, d, e = u, fu, x, fx, y, fy, 0.0, 0.0
-                continue
+        if abs(fu - fx) <= noise:  # a tie: x and u sit on the minimum's round-off floor
             step = abs(u - x)
-            (fx, x) = best = min((fx, x), (fu, u), (fy, y))
+            (fx, x) = best = min((fx, x), (fu, u))
             ends = []
             for end, f_end, sign in ((a, fa, -1.0), (b, fb, 1.0)):
                 # first where a parabola through x and the end rises by 2 noise
-                h = max(step, abs(end - x) * math.sqrt(2.0 * noise / (f_end - fx)))
+                rise = f_end - fx
+                h = max(step, abs(end - x) * math.sqrt(2.0 * noise / rise)) if rise > noise else step
                 while sign * (end - x) > h:
                     fy = f(x + sign * h)
                     best = min(best, (fy, x + sign * h))
@@ -153,8 +149,9 @@ def _scan_and_refine(traj: Trajectory, q: EventQuery | None, kind: str, function
     here = samples[1:]
     right_ok = np.append(here[:-1] <= here[1:], True)
     for k in (np.flatnonzero((here <= threshold) & (here <= samples[:-1]) & right_ok) + 1).tolist():
-        a, b = (k - 1) * traj.ds, min(k + 1, n) * traj.ds
-        s_min, f_min, width = _brent_min(f_at, a, b, width_goal, ROUNDOFF)
+        idx = [k - 1, k, min(k + 1, n)]
+        s_min, f_min, width = _brent_min(f_at, [i * traj.ds for i in idx], samples[idx].tolist(),
+                                         width_goal, ROUNDOFF)
         best = min(best, f_min)
         if f_min <= q.tolerance:
             return EventResult(triggered=True, time=float(s_min * traj.hbar),

@@ -27,6 +27,10 @@ PLUS = StateVector.normalized(np.array([1.0, 1.0]))
 
 CHAIN3 = IsingInstance(n=3, couplings=[(0, 1, -1.0), (1, 2, -1.0)], fields=[(0, 0.25), (2, -0.5)])
 
+# the acceptance chain's pattern at six qubits: an apply walk whose refinement replays grid states
+CHAIN6 = IsingInstance(n=6, couplings=[(i, i + 1, -1.0) for i in range(5)],
+                       fields=[(0, 0.25), (5, -0.5)])
+
 
 def golden_oracle(f, a, b, width_goal, noise=0.0):
     """Golden-section search, the refinement Brent's method replaced: the
@@ -52,6 +56,14 @@ def golden_oracle(f, a, b, width_goal, noise=0.0):
             fd = f(d)
     width = b - a if held is None else held
     return (c, fc, width) if fc < fd else (d, fd, width)
+
+
+def bracket(f, a, b):
+    """The bracket a grid scan hands _brent_min on [a, b]: the ends and the
+    midpoint, with their values. f is the uncounted function, so a counting
+    wrapper passed as the search's f counts the search's evaluations alone."""
+    points = (a, 0.5 * (a + b), b)
+    return points, tuple(f(y) for y in points)
 
 
 def recorded(minimize, widths):
@@ -85,8 +97,7 @@ class TestOrthogonal:
 
     @pytest.mark.parametrize("horizon", [2.0 * math.pi, 4.0 * math.pi], ids=["2pi", "4pi"])
     def test_crossing_on_a_grid_point_triggers(self, horizon):
-        # grid point 1000 (or 500) sits on pi, the midpoint of the first
-        # trial and its mirror image, whose values tie
+        # grid point 1000 (or 500) sits on pi, an exact minimum the search starts on
         traj = evolve(gap_hamiltonian(), PLUS, horizon=horizon)
         res = first_orthogonal(traj)
         assert res.triggered
@@ -248,7 +259,8 @@ class TestQueryAndRefinement:
     def test_brent_reaches_width_goal_on_a_quadratic(self):
         calls = []
         f = lambda x: calls.append(x) or (x - 1.3) ** 2
-        xm, fm, width = _brent_min(f, 0.0, 2.0, width_goal=1e-6)
+        xm, fm, width = _brent_min(f, *bracket(lambda x: (x - 1.3) ** 2, 0.0, 2.0),
+                                   width_goal=1e-6)
         assert width <= 1e-6
         assert abs(xm - 1.3) <= width
         assert len(calls) <= 10
@@ -264,7 +276,7 @@ class TestQueryAndRefinement:
         values = {}
         f = lambda x: values.setdefault(
             x, 1e-3 * (x - 1.3) ** power + 0.45 * noise * math.sin(1e12 * x))
-        xm, fm, width = _brent_min(f, 0.0, 2.0, width_goal=1e-12, noise=noise)
+        xm, fm, width = _brent_min(f, *bracket(f, 0.0, 2.0), width_goal=1e-12, noise=noise)
         assert fm == values[xm]
         ends = [(lo, hi) for lo in values for hi in values if hi - lo == width]
         assert len(ends) == 1
@@ -278,9 +290,42 @@ class TestQueryAndRefinement:
                              ids=["kink", "quadratic-goal-0", "kink-goal-0"])
     def test_brent_stops_within_the_guard(self, f, goal):
         calls = []
-        xm, _, width = _brent_min(lambda x: calls.append(x) or f(x), 0.0, 1.0, width_goal=goal)
+        xm, _, width = _brent_min(lambda x: calls.append(x) or f(x), *bracket(f, 0.0, 1.0),
+                                  width_goal=goal)
         assert len(calls) <= 1 + _GUARD_STEPS
         assert abs(xm - 0.5) <= width
+
+    def test_brent_first_trial_is_the_seeded_vertex(self):
+        # the grid's three samples already fix a parabola; on a quadratic its
+        # vertex is the minimum, and the first evaluation lands there
+        calls = []
+        f = lambda x: (x - 1.3) ** 2
+        _brent_min(lambda x: calls.append(x) or f(x), *bracket(f, 0.0, 2.0), width_goal=1e-6)
+        assert calls[0] == pytest.approx(1.3, abs=1e-12)
+
+    @pytest.mark.parametrize("points, f, floor",
+                             [((0.0, 1.0, 1.0), lambda x: 1e-3 * (x - 1.0) ** 2, (1.0, 1.0)),
+                              ((0.0, 0.5, 1.0), lambda x: max(0.5 - x, 0.0), (0.5, 1.0))],
+                             ids=["end-is-x", "flat-side"])
+    def test_brent_certifies_beside_a_tied_end(self, points, f, floor):
+        # an end sampled within noise of f(x): the horizon's last grid point
+        # is both x and b, and a flat side ties x exactly. That side's first
+        # probe is the tied step, and its end stays where no probe rose
+        calls = []
+        xm, fm, width = _brent_min(lambda x: calls.append(x) or f(x), points,
+                                   tuple(f(y) for y in points), width_goal=1e-12, noise=1e-14)
+        assert calls and fm == 0.0 and floor[0] <= xm <= floor[1]
+        assert floor[1] - floor[0] <= width < points[2] - points[0]
+
+    def test_brent_leaves_a_monotone_bracket_end_in_few_evaluations(self):
+        # the last grid sample is the least, so x = b and every golden step
+        # from x cuts the far 62 % of the bracket
+        calls = []
+        f = lambda x: 1.0 - x
+        xm, fm, width = _brent_min(lambda x: calls.append(x) or f(x), (0.0, 1.0, 1.0),
+                                   (1.0, 0.0, 0.0), width_goal=1e-6)
+        assert (xm, fm) == (1.0, 0.0) and width <= 1e-6
+        assert len(calls) <= 20
 
     def test_closed_form_refines_without_states(self):
         # a fixed H under midpoint-exponential keeps its spectrum, not states
@@ -309,7 +354,7 @@ class TestQueryAndRefinement:
             mp.setattr(events, "_brent_min", recorded(_brent_min, searches))
             run_gue_ensemble(8, range(50))
         assert len(searches) >= 10
-        assert len(evaluations) / len(searches) <= 14
+        assert len(evaluations) / len(searches) <= 8
 
     def test_coarse_tolerance_loosens_trigger(self):
         # with tolerance 0.1 the near-miss case does trigger
@@ -328,7 +373,7 @@ def campaign_events(result):
 
 def aligned_grid_events():
     """Horizons that are multiples of pi put a grid point on each exact
-    minimum, which the first trial and its mirror image straddle."""
+    minimum, and the 2pi horizon puts the antipode on its last grid point."""
     found = []
     for name, H in (("gap", gap_hamiltonian()), ("symmetric", symmetric_hamiltonian())):
         for horizon in (2.0 * math.pi, 4.0 * math.pi):
@@ -344,6 +389,8 @@ ORACLE_SUITES = {
     "analytic": lambda: campaign_events(run_analytic_suite()),
     "analytic-hbar0.7": lambda: campaign_events(run_analytic_suite(IntegratorConfig(hbar=0.7))),
     "qac-chain3": lambda: campaign_events(run_qac(CHAIN3, T_values=(1, 4, 16))),
+    "qac-chain6": lambda: campaign_events(run_qac(CHAIN6, T_values=(1, 4, 16))),
+    "gue-dim32-long": lambda: campaign_events(run_gue_ensemble(32, range(8), horizon_mult=32)),
     "aligned-grid": aligned_grid_events,
 }
 
@@ -357,7 +404,9 @@ def test_brent_against_golden_oracle(suite):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_brent_min", recorded(_brent_min, widths))
         got = ORACLE_SUITES[suite]()
-        mp.setattr(events, "_brent_min", recorded(golden_oracle, oracle_widths))
+        mp.setattr(events, "_brent_min", recorded(
+            lambda f, points, values, *rest: golden_oracle(f, points[0], points[2], *rest),
+            oracle_widths))
         want = ORACLE_SUITES[suite]()
     assert len(widths) == len(oracle_widths)
     assert max(widths, default=0.0) <= max(oracle_widths, default=0.0)
