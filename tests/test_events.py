@@ -58,11 +58,12 @@ def golden_oracle(f, a, b, width_goal, noise=0.0):
     return (c, fc, width) if fc < fd else (d, fd, width)
 
 
-def bracket(f, a, b):
-    """The bracket a grid scan hands _brent_min on [a, b]: the ends and the
-    midpoint, with their values. f is the uncounted function, so a counting
-    wrapper passed as the search's f counts the search's evaluations alone."""
-    points = (a, 0.5 * (a + b), b)
+def bracket(f, a, x, b):
+    """The bracket a grid scan hands _brent_min: the ends a and b, the least
+    sample x between them, and their values. f is the uncounted function, so
+    a counting wrapper passed as the search's f counts the search's
+    evaluations alone."""
+    points = (a, x, b)
     return points, tuple(f(y) for y in points)
 
 
@@ -259,7 +260,7 @@ class TestQueryAndRefinement:
     def test_brent_reaches_width_goal_on_a_quadratic(self):
         calls = []
         f = lambda x: calls.append(x) or (x - 1.3) ** 2
-        xm, fm, width = _brent_min(f, *bracket(lambda x: (x - 1.3) ** 2, 0.0, 2.0),
+        xm, fm, width = _brent_min(f, *bracket(lambda x: (x - 1.3) ** 2, 0.0, 1.0, 2.0),
                                    width_goal=1e-6)
         assert width <= 1e-6
         assert abs(xm - 1.3) <= width
@@ -276,7 +277,7 @@ class TestQueryAndRefinement:
         values = {}
         f = lambda x: values.setdefault(
             x, 1e-3 * (x - 1.3) ** power + 0.45 * noise * math.sin(1e12 * x))
-        xm, fm, width = _brent_min(f, *bracket(f, 0.0, 2.0), width_goal=1e-12, noise=noise)
+        xm, fm, width = _brent_min(f, *bracket(f, 0.0, 1.0, 2.0), width_goal=1e-12, noise=noise)
         assert fm == values[xm]
         ends = [(lo, hi) for lo in values for hi in values if hi - lo == width]
         assert len(ends) == 1
@@ -289,8 +290,9 @@ class TestQueryAndRefinement:
                                          (lambda x: abs(x - 0.5), 0.0)],
                              ids=["kink", "quadratic-goal-0", "kink-goal-0"])
     def test_brent_stops_within_the_guard(self, f, goal):
+        # the least sample 0.3 is off the minimum, so the search must travel to it
         calls = []
-        xm, _, width = _brent_min(lambda x: calls.append(x) or f(x), *bracket(f, 0.0, 1.0),
+        xm, _, width = _brent_min(lambda x: calls.append(x) or f(x), *bracket(f, 0.0, 0.3, 1.0),
                                   width_goal=goal)
         assert len(calls) <= 1 + _GUARD_STEPS
         assert abs(xm - 0.5) <= width
@@ -300,7 +302,7 @@ class TestQueryAndRefinement:
         # vertex is the minimum, and the first evaluation lands there
         calls = []
         f = lambda x: (x - 1.3) ** 2
-        _brent_min(lambda x: calls.append(x) or f(x), *bracket(f, 0.0, 2.0), width_goal=1e-6)
+        _brent_min(lambda x: calls.append(x) or f(x), *bracket(f, 0.0, 1.0, 2.0), width_goal=1e-6)
         assert calls[0] == pytest.approx(1.3, abs=1e-12)
 
     @pytest.mark.parametrize("points, f, floor",
